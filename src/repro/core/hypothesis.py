@@ -15,7 +15,7 @@ Node and edge hypotheses are path hypotheses with l = 0 and l = 1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from pyspark.sql import Column

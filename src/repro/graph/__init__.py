@@ -1,3 +1,3 @@
-"""Attributed-graph substrate: PropertyGraph, the Pregel-style walk
-engine, and BFS primitives — all DataFrame-based."""
+"""Attributed-graph substrate: the DataFrame-based PropertyGraph, and
+the walk engine and BFS primitives on its driver-side CSR."""
 from repro.graph.property_graph import PropertyGraph  # noqa: F401

@@ -1,95 +1,75 @@
-"""BFS primitives over the symmetric adjacency.
+"""BFS primitives over the driver-side CSR of the symmetric adjacency.
 
-Substrate for the expansion samplers (SBS, FFS) and ShortestPathS. The
-frontier lives on the driver (sampled graphs are budget-bounded, so
-frontiers stay small); each level is one distributed join against the
-cached adjacency.
+Substrate for the expansion samplers (SBS, FFS) and ShortestPathS. Both
+the frontier and the graph live on the driver (see
+:mod:`repro.graph.walk_engine` for why), so a BFS level is a gather of
+the frontier's neighbor slices. Callers pass and receive node ids.
 """
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
-from pyspark.sql import functions as F
+import numpy as np
 
-from repro.graph.walk_engine import urand
+from repro.graph.csr import CSR, rank_in_group
 
 
 def expand_frontier(
-    spark: SparkSession,
-    adj: DataFrame,
+    csr: CSR,
     frontier: Iterable[int],
     visited: Iterable[int],
     *,
     per_parent_cap: Optional[dict[int, int]] = None,
-    step: int = 0,
-    seed: int = 0,
-) -> list:
+    rng: Optional[np.random.Generator] = None,
+) -> list[dict]:
     """One BFS level: neighbors of ``frontier`` not in ``visited``.
 
-    ``per_parent_cap`` limits how many (uniform-random) neighbors each
-    parent may contribute — the snowball fan-out k or the forest-fire
-    geometric burn count. Returns collected rows ``(src, dst)``; a dst
-    reachable from several parents appears once per parent (callers
-    dedupe).
+    ``per_parent_cap`` limits how many (uniform-random, drawn with
+    ``rng``) neighbors each parent may contribute — the snowball fan-out
+    k or the forest-fire geometric burn count. Returns rows
+    ``{"src", "dst"}``; a dst reachable from several parents appears
+    once per parent (callers dedupe).
     """
-    f_pdf = pd.DataFrame({"src": sorted(set(int(x) for x in frontier))})
-    if f_pdf.empty:
-        return []
-    cand = adj.join(F.broadcast(spark.createDataFrame(f_pdf)), "src")
-    vis = sorted(set(int(x) for x in visited))
-    if vis:
-        vdf = F.broadcast(spark.createDataFrame(pd.DataFrame({"dst": vis})))
-        cand = cand.join(vdf, "dst", "anti")
+    parents = np.unique(csr.index(list(frontier)))
+    owner, dst = csr.gather(parents)
+    keep = ~np.isin(dst, csr.index(list(visited)))
+    owner, dst = owner[keep], dst[keep]
     if per_parent_cap is not None:
-        cap_pdf = pd.DataFrame(
-            {"src": list(per_parent_cap), "cap": list(per_parent_cap.values())}
-        )
-        cand = cand.join(F.broadcast(spark.createDataFrame(cap_pdf)), "src")
-        u = urand(F.col("src"), F.col("dst"), F.lit(step), seed=seed, tag="bfs")
-        w = Window.partitionBy("src").orderBy(u)
-        cand = (
-            cand.withColumn("_rn", F.row_number().over(w))
-            .where(F.col("_rn") <= F.col("cap"))
-        )
-    return cand.select("src", "dst").collect()
+        cap = np.array([per_parent_cap.get(int(v), 0) for v in csr.ids[parents]])
+        keep = rank_in_group(owner, rng.random(len(dst))) < cap[owner]
+        owner, dst = owner[keep], dst[keep]
+    return [
+        {"src": s, "dst": d}
+        for s, d in zip(csr.ids[parents[owner]].tolist(), csr.ids[dst].tolist())
+    ]
 
 
 def bfs_parents(
-    spark: SparkSession,
-    adj: DataFrame,
-    sources: list[int],
-    *,
-    max_depth: int,
-    seed: int = 0,
+    csr: CSR, sources: list[int], *, max_depth: int
 ) -> dict[int, dict[int, int]]:
-    """Multi-source BFS with parent pointers, driver-held.
+    """Multi-source BFS with parent pointers.
 
     Returns ``{source: {node: parent}}`` for every node reached within
-    ``max_depth`` levels of its source. Each level is one distributed
-    join over a (root, node) frontier.
+    ``max_depth`` levels of its source. A node's parent is the
+    smallest-id node of the previous level adjacent to it.
     """
-    roots = sorted(set(int(s) for s in sources))
-    parents: dict[int, dict[int, int]] = {r: {r: r} for r in roots}
-    frontier = pd.DataFrame({"root": roots, "src": roots})
-    for depth in range(max_depth):
-        if frontier.empty:
-            break
-        fdf = F.broadcast(spark.createDataFrame(frontier))
-        rows = (
-            adj.join(fdf, "src")
-            .groupBy("root", "dst")
-            .agg(F.min("src").alias("parent"))
-            .collect()
-        )
-        nxt: list[tuple[int, int]] = []
-        for row in rows:
-            r, d, p = int(row["root"]), int(row["dst"]), int(row["parent"])
-            if d not in parents[r]:
-                parents[r][d] = p
-                nxt.append((r, d))
-        frontier = pd.DataFrame(nxt, columns=["root", "src"])
+    parents: dict[int, dict[int, int]] = {}
+    for root in sorted(set(int(s) for s in sources)):
+        frontier = csr.index([root])
+        seen = np.zeros(csr.n, dtype=bool)
+        seen[frontier] = True
+        par = {root: root}
+        for _ in range(max_depth):
+            owner, dst = csr.gather(frontier)
+            fresh = ~seen[dst]
+            # The frontier is ascending, so a node's first occurrence
+            # carries its smallest parent.
+            dst, first = np.unique(dst[fresh], return_index=True)
+            src = frontier[owner[fresh][first]]
+            seen[dst] = True
+            par.update(zip(csr.ids[dst].tolist(), csr.ids[src].tolist()))
+            frontier = dst
+        parents[root] = par
     return parents
 
 

@@ -1,9 +1,9 @@
 """Sampler protocol and registry.
 
 A sampler takes the shared :class:`~repro.graph.walk_engine.WalkContext`
-(which carries the graph, the cached augmented adjacency, and the
-hypothesis flags — hypothesis-agnostic samplers simply ignore the
-flags), a budget, and a seed, and returns the sampled node set ``V_S``.
+(which carries the graph, its driver-side CSR, and the hypothesis
+flags — hypothesis-agnostic samplers simply ignore the flags), a
+budget, and a seed, and returns the sampled node set ``V_S``.
 The framework materializes the induced subgraph ``S`` from it.
 """
 from __future__ import annotations

@@ -25,11 +25,12 @@ class _Expansion:
 
     def sample(self, ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
         rng = np.random.default_rng(seed)
+        target = min(budget, len(ctx.node_ids))
         visited: set[int] = set()
         step = 0
         max_rounds = 200
         frontier: list[int] = []
-        while len(visited) < budget and step < max_rounds:
+        while len(visited) < target and step < max_rounds:
             step += 1
             if not frontier:
                 s = int(rng.choice(ctx.node_ids))
@@ -37,20 +38,18 @@ class _Expansion:
                 frontier = [s]
                 continue
             rows = expand_frontier(
-                ctx.spark,
-                ctx.adj_aug.select("src", "dst"),
+                ctx.csr,
                 frontier,
                 visited,
                 per_parent_cap=self._caps(frontier, rng),
-                step=step,
-                seed=seed,
+                rng=rng,
             )
             new = {int(r["dst"]) for r in rows} - visited
             if not new:
                 frontier = []  # fire died: reignite from a fresh seed
                 continue
             new_list = sorted(new)
-            room = budget - len(visited)
+            room = target - len(visited)
             if len(new_list) > room:
                 new_list = [
                     int(x)

@@ -23,19 +23,14 @@ class ShortestPathSampler:
 
     def sample(self, ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
         rng = np.random.default_rng(seed)
+        target = min(budget, len(ctx.node_ids))
         visited: set[int] = set()
         rounds = 0
-        while len(visited) < budget and rounds < 30:
+        while len(visited) < target and rounds < 30:
             rounds += 1
             srcs = [int(x) for x in rng.choice(ctx.node_ids, self.pairs_per_round)]
             tgts = [int(x) for x in rng.choice(ctx.node_ids, self.pairs_per_round)]
-            parents = bfs_parents(
-                ctx.spark,
-                ctx.adj_aug.select("src", "dst"),
-                srcs,
-                max_depth=self.max_depth,
-                seed=seed + rounds,
-            )
+            parents = bfs_parents(ctx.csr, srcs, max_depth=self.max_depth)
             for s, t in zip(srcs, tgts):
                 path = backtrack(parents[s], s, t)
                 if path is None:

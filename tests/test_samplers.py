@@ -52,6 +52,20 @@ class TestInvariants:
         assert sorted(again) == sorted(sampler_runs[name])
 
 
+@pytest.fixture(scope="module")
+def toy_path_ctx(spark, toy_graph, toy_hyps):
+    from repro.graph.walk_engine import WalkContext
+
+    return WalkContext(spark, toy_graph, toy_hyps["path"])
+
+
+@pytest.mark.parametrize("name", [n for n in ALL_NAMES if n != "RES"])
+def test_budget_above_graph_size_returns_every_node(toy_path_ctx, name):
+    # The toy graph has 5 nodes; B = 36 > |V| must yield exactly V.
+    ids = get_sampler(name).sample(toy_path_ctx, 36, seed=0)
+    assert sorted(ids) == [1, 2, 3, 4, 5]
+
+
 class TestSamplerSpecific:
     def test_dbs_prefers_high_degree(self, sampler_runs, ml_edge_ctx):
         def mean_deg(ids):
@@ -87,7 +101,7 @@ class TestSamplerSpecific:
         # Snowball grows by adjacency: most sampled nodes must have a
         # sampled neighbor (allowing for reignition seeds).
         ids = set(sampler_runs["SBS"])
-        adj = ml_edge_ctx.adj_aug.select("src", "dst").collect()
+        adj = ml_edge_ctx.graph.adjacency.select("src", "dst").collect()
         nbrs = {}
         for r in adj:
             nbrs.setdefault(r["src"], set()).add(r["dst"])
