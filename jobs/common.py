@@ -21,7 +21,6 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.ui.showConsoleProgress", "false")
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "8"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

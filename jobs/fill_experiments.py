@@ -33,11 +33,17 @@ def _md(df: pd.DataFrame) -> str:
 
 
 def _grid_table(path: str) -> str:
+    """A Table 3/4 grid; a Table-3 cell with ``<sampler>_lo``/``_hi``
+    columns reads ``accuracy [lo, hi]``."""
     df = pd.read_csv(path)
-    cols = ["Dataset", "Type", "Proportion"] + [
-        s for s in SAMPLER_ORDER if s in df.columns
-    ]
-    df = df[cols]
+    samplers = [s for s in SAMPLER_ORDER if s in df.columns]
+    for s in samplers:
+        if f"{s}_lo" in df.columns:
+            df[s] = [
+                f"{a:g} [{lo:g}, {hi:g}]"
+                for a, lo, hi in zip(df[s], df[f"{s}_lo"], df[f"{s}_hi"])
+            ]
+    df = df[["Dataset", "Type", "Proportion"] + samplers]
     df["Proportion"] = (df["Proportion"] * 100).map(lambda p: f"{p:g}")
     order = {"node": 0, "edge": 1, "path": 2}
     dorder = {"MovieLens": 0, "DBLP": 1, "Yelp": 2}
@@ -60,7 +66,7 @@ def main() -> None:
     if os.path.exists(t2):
         df = pd.read_csv(t2)
         for c in ("Node", "Edge", "Path"):
-            df[c] = df[c].round(2)
+            df[c] = df[c].round(4)
         text = fill("TABLE2_MEASURED", _md(df), text)
     t3 = os.path.join(RESULTS, "table3.csv")
     if os.path.exists(t3):
@@ -71,8 +77,9 @@ def main() -> None:
     pl = os.path.join(RESULTS, "path_length.csv")
     if os.path.exists(pl):
         df = pd.read_csv(pl)
-        df["Accuracy"] = df["Accuracy"].round(2)
-        df["Time"] = df["Time"].round(2)
+        for c in ("Accuracy", "Lo", "Hi"):
+            df[c] = df[c].round(2)
+        df["Time"] = df["Time"].round(4)
         text = fill("PATHLEN_MEASURED", _md(df), text)
     open(EXP, "w").write(text)
     print("EXPERIMENTS.md updated")

@@ -16,7 +16,7 @@ def main() -> None:
     df = path_length_sweep(
         spark,
         sf=env_float("REPRO_SF", 1.0),
-        runs=env_int("REPRO_RUNS", 3),
+        runs=env_int("REPRO_RUNS", 30),
         proportion=env_float("REPRO_PROPORTION", 0.02),
     )
     print(df.to_string(index=False))

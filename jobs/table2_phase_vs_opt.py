@@ -19,7 +19,7 @@ def main() -> None:
         spark,
         sf=env_float("REPRO_SF", 1.0),
         proportion=env_float("REPRO_PROPORTION", 0.02),
-        runs=env_int("REPRO_RUNS", 3),
+        runs=env_int("REPRO_RUNS", 30),
     )
     print(df.to_string(index=False))
     os.makedirs("results", exist_ok=True)

@@ -29,7 +29,7 @@ def main() -> None:
         spark,
         datasets=datasets,
         samplers=samplers,
-        runs=env_int("REPRO_RUNS", 3),
+        runs=env_int("REPRO_RUNS", 30),
         sfs={n: sf for n in datasets},
     )
     os.makedirs("results", exist_ok=True)

@@ -1,90 +1,129 @@
 """Hypothesis estimators: relevant-instance extraction and aggregation.
 
 Paper §3.1/§3.2.3: "we extract all relevant nodes, edges, or paths from
-S and compute the required aggregated values". Extraction is a chain of
-Catalyst joins along the hypothesis path — nodes filtered by modifier
-M_1, joined through the (symmetric, typed) adjacency for each edge type
-r_i, each hop filtered by modifier M_{i+1}. Works identically on the
-full graph G (ground truth θ) and on a sampled graph S (estimator θ̂,
-Eq. 2).
+S and compute the required aggregated values". This module owns the rules
+for what a relevant instance is. It builds a hypothesis projection once
+per :class:`~repro.graph.walk_engine.WalkContext`, from the columns the
+context collects to the driver, and extracts instances by expanding
+paths hop by hop over it: from the nodes that satisfy M_1, for each path
+step r_i, it gathers the step's CSR slice of the current path ends, whose
+rows already lead into nodes that satisfy M_{i+1}. The same code gives
+the ground truth θ on G and the estimator θ̂ (Eq. 2) on a sample S: S is the
+subgraph of G induced on V_S, so its instances are exactly those that
+start in V_S and stay in V_S at every hop, and the expansion from V_S
+touches only V_S's neighborhoods.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import numpy as np
+import pandas as pd
 
-from repro.core.hypothesis import Agg, Hypothesis
-from repro.graph.property_graph import PropertyGraph
+from repro.core.hypothesis import Agg
+from repro.graph.csr import CSR
+from repro.graph.walk_engine import WalkContext
 
 
-def relevant_instances(graph: PropertyGraph, hyp: Hypothesis) -> DataFrame:
-    """All relevant path instances of ``hyp`` in ``graph``.
+@dataclass(frozen=True)
+class _Projection:
+    """What extraction runs over, built once per context.
+
+    - ``start``: the nodes that can open an instance (they satisfy M_1
+      and, when f_P is that node's attribute, f_P is not null);
+    - ``steps``: one CSR per path step i, holding the adjacency rows of
+      type r_i whose ``dst`` can take position i (it satisfies M_{i+1};
+      a null f_P there drops the row). When f_P is that step's edge
+      attribute, the CSR's ``val`` holds it;
+    - ``f``: f_P per node when it is a node attribute.
+    """
+
+    start: np.ndarray
+    steps: list[CSR]
+    f: Optional[np.ndarray]
+
+
+def _projection(ctx: WalkContext) -> _Projection:
+    """The projection of ``ctx.hyp``, cached on ``ctx``."""
+    if ctx.projection is None:
+        f = ctx.hyp.f
+        # ok[i, j]: node i can take path position j.
+        ok = ctx.sat.copy()
+        if ctx.node_f is not None:
+            ok[:, f.position] &= ~np.isnan(ctx.node_f)
+        ids, adj = ctx.csr.ids, ctx.adj
+        src, dst = adj["src"].to_numpy(), adj["dst"].to_numpy()
+        d = np.searchsorted(ids, dst)
+        steps = []
+        for i in range(ctx.hyp.length):
+            keep = adj[f"r{i}"].to_numpy() & ok[d, i + 1]
+            val = None
+            if "f" in adj and f.position == i:
+                val = adj["f"].to_numpy(dtype=float)
+                keep &= ~np.isnan(val)
+                val = val[keep]
+            steps.append(CSR.build(ids, src[keep], dst[keep], val))
+        ctx.projection = _Projection(ok[:, 0], steps, ctx.node_f)
+    return ctx.projection
+
+
+def _instances(
+    ctx: WalkContext, members: Optional[Iterable[int]] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relevant instances as ``(paths, f)``: ``paths[k]`` holds the dense
+    indices of instance k's nodes in path order and ``f[k]`` its f_P.
+
+    ``members`` restricts the instances to the subgraph induced on those
+    node ids; None means all of G.
+    """
+    hyp = ctx.hyp
+    proj = _projection(ctx)
+    start = proj.start
+    inside = None
+    if members is not None:
+        inside = np.zeros(ctx.csr.n, dtype=bool)
+        inside[ctx.csr.index(list(members))] = True
+        start = start & inside
+    paths = np.flatnonzero(start)[:, None]
+    f = None
+    mods = hyp.modifiers
+    for i, step in enumerate(proj.steps, start=1):
+        owner, pos = step.slots(paths[:, -1])
+        nxt = step.nbr[pos]
+        keep = np.ones(len(nxt), dtype=bool) if inside is None else inside[nxt]
+        # Instances are simple paths: no node at two positions. Node ids
+        # are globally unique, so only positions of one node type can clash.
+        for j in range(i):
+            if mods[j].ntype == mods[i].ntype:
+                keep &= paths[owner, j] != nxt
+        owner, pos = owner[keep], pos[keep]
+        paths = np.column_stack((paths[owner], step.nbr[pos]))
+        if f is not None:
+            f = f[owner]
+        if step.val is not None:
+            f = step.val[pos]
+    if f is None:
+        f = np.ones(len(paths)) if proj.f is None else proj.f[paths[:, hyp.f.position]]
+    return paths, f
+
+
+def relevant_instances(
+    ctx: WalkContext, members: Optional[Iterable[int]] = None
+) -> pd.DataFrame:
+    """All relevant path instances of ``ctx.hyp``, in G or in the subgraph
+    induced on ``members``.
 
     Returns a DataFrame with node-id columns ``n0 .. nl`` (one per path
     position) and a double column ``f`` holding f_P for that instance
-    (null-filtered). Instances are ordered node sequences; a stored edge
+    (1.0 when f_P has no attribute); an instance whose f_P is null is
+    not relevant. Instances are ordered node sequences; a stored edge
     contributes both its forward type and its ``_inv`` type to matching.
     """
-    f_col = None
-
-    n0 = graph.nodes.where(
-        hyp.start.to_column(F.col("ntype"), F.col("attrs"))
-    )
-    if hyp.f.kind == "node" and hyp.f.position == 0 and hyp.f.attr is not None:
-        f_col = F.col("attrs").getItem(hyp.f.attr).cast("double")
-    cur = n0.select(
-        F.col("id").alias("n0"),
-        *( [f_col.alias("f")] if f_col is not None else [] ),
-    )
-
-    for i, step in enumerate(hyp.steps, start=1):
-        adj = graph.adjacency.where(F.col("etype") == F.lit(step.etype))
-        edge_f = (
-            hyp.f.kind == "edge"
-            and hyp.f.position == i - 1
-            and hyp.f.attr is not None
-        )
-        adj = adj.select(
-            F.col("src").alias(f"n{i-1}"),
-            F.col("dst").alias(f"n{i}"),
-            *(
-                [F.col("attrs").getItem(hyp.f.attr).cast("double").alias("f")]
-                if edge_f
-                else []
-            ),
-        )
-        cur = cur.join(adj, on=f"n{i-1}", how="inner")
-
-        nxt = graph.nodes.where(
-            step.modifier.to_column(F.col("ntype"), F.col("attrs"))
-        )
-        node_f = (
-            hyp.f.kind == "node" and hyp.f.position == i and hyp.f.attr is not None
-        )
-        nxt = nxt.select(
-            F.col("id").alias(f"n{i}"),
-            *(
-                [F.col("attrs").getItem(hyp.f.attr).cast("double").alias("f")]
-                if node_f
-                else []
-            ),
-        )
-        cur = cur.join(nxt, on=f"n{i}", how="inner")
-
-    # Path *instances* are simple: the same node may not appear at two
-    # positions (the co-author path needs two distinct authors). Node
-    # ids are globally unique, so cross-type pairs pass trivially.
-    l = hyp.length
-    for i in range(l + 1):
-        for j in range(i + 1, l + 1):
-            cur = cur.where(F.col(f"n{i}") != F.col(f"n{j}"))
-
-    if hyp.f.attr is None:
-        cur = cur.withColumn("f", F.lit(1.0))
-    return cur.where(F.col("f").isNotNull())
+    paths, f = _instances(ctx, members)
+    out = pd.DataFrame(ctx.csr.ids[paths], columns=[f"n{i}" for i in range(paths.shape[1])])
+    out["f"] = f
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,26 +137,20 @@ class Estimate:
     std: Optional[float]
 
 
-def estimate(graph: PropertyGraph, hyp: Hypothesis) -> Estimate:
-    """Compute the hypothesis estimator θ̂ (Eq. 2) on ``graph``."""
-    inst = relevant_instances(graph, hyp)
-    row = inst.agg(
-        F.count(F.lit(1)).alias("n"),
-        F.avg("f").alias("avg"),
-        F.sum("f").alias("sum"),
-        F.min("f").alias("min"),
-        F.max("f").alias("max"),
-        F.stddev_samp("f").alias("std"),
-    ).first()
-    n = int(row["n"])
+def estimate(ctx: WalkContext, members: Optional[Iterable[int]] = None) -> Estimate:
+    """Compute θ (``members`` None) or the estimator θ̂ (Eq. 2) on the
+    subgraph induced on ``members``."""
+    _, f = _instances(ctx, members)
+    n = len(f)
     if n == 0:
         return Estimate(0, None, None, None)
+    mean = float(f.mean())
     value = {
-        Agg.AVG: row["avg"],
-        Agg.SUM: row["sum"],
-        Agg.COUNT: float(n),
-        Agg.MIN: row["min"],
-        Agg.MAX: row["max"],
-    }[hyp.agg]
-    std = float(row["std"]) if row["std"] is not None else 0.0
-    return Estimate(n, float(value), float(row["avg"]), std)
+        Agg.AVG: mean,
+        Agg.SUM: f.sum(),
+        Agg.COUNT: n,
+        Agg.MIN: f.min(),
+        Agg.MAX: f.max(),
+    }[ctx.hyp.agg]
+    std = float(f.std(ddof=1)) if n > 1 else 0.0
+    return Estimate(n, float(value), mean, std)

@@ -1,15 +1,19 @@
 """The sampling-based hypothesis-testing framework (paper Fig. 2).
 
 Wires everything together: pick a sampler (hypothesis-agnostic or
--aware), draw S under budget B, materialize the induced subgraph,
-extract relevant instances, test, and — across repeated runs — compute
-the paper's evaluation measures:
+-aware), draw V_S under budget B, extract the relevant instances of the
+induced subgraph S from the driver-side projection and test them, and —
+across repeated runs — compute the paper's evaluation measures:
 
 - Accuracy = (1/k) Σ 1[H(G) == H(S)]  (§4.2; an undecided H(S) counts
   as a mismatch, which is what produces the near-zero path accuracies
-  of node/edge samplers in Table 3),
+  of node/edge samplers in Table 3), with its Wilson 95% interval. It is
+  undefined when H(G) itself is undecided (no instance in G).
 - total execution time = sampling time + relevant-info extraction time
   (§4.2 "Time").
+
+Spark's part in a run is the sampler's job for RNS, DBS and RES; walk and
+BFS samplers and the test launch none.
 """
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.hypothesis import Hypothesis
@@ -25,6 +28,7 @@ from repro.core.testing import TestOutcome, run_test
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.walk_engine import WalkContext
 from repro.samplers import get_sampler  # package import registers all samplers
+from repro.stats.proportion import wilson_interval
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class Experiment:
     def truth(self) -> TestOutcome:
         """H(G): the exact test on the full graph."""
         if self.ground_truth is None:
-            self.ground_truth = run_test(self.graph, self.hyp)
+            self.ground_truth = run_test(self.context())
         return self.ground_truth
 
     def run_once(self, sampler_name: str, budget: int, *, seed: int) -> RunResult:
@@ -70,11 +74,7 @@ class Experiment:
         t0 = time.perf_counter()
         node_ids = sampler.sample(ctx, budget, seed=seed)
         t1 = time.perf_counter()
-        ids_df = self.spark.createDataFrame(
-            pd.DataFrame({"id": sorted(int(i) for i in node_ids)})
-        )
-        sub = self.graph.induced_subgraph(ids_df)
-        outcome = run_test(sub, self.hyp)
+        outcome = run_test(ctx, node_ids)
         t2 = time.perf_counter()
         return RunResult(
             sampler_name, budget, len(node_ids), outcome, t1 - t0, t2 - t1
@@ -83,18 +83,30 @@ class Experiment:
     def accuracy(
         self, sampler_name: str, budget: int, *, runs: int, seed: int = 0
     ) -> dict:
-        """Average accuracy/time of ``runs`` independent runs (§4.2)."""
+        """Average accuracy/time of ``runs`` independent runs (§4.2).
+
+        ``matches`` counts the runs with H(S) == H(G) and ``accuracy_ci``
+        is the Wilson 95% interval of ``accuracy``. Raises ValueError
+        when H(G) is undecided: an undecided H(S) would then "match".
+        """
         truth = self.truth().decision
+        if truth is None:
+            raise ValueError(
+                f"{self.hyp.name}: H(G) is undecided (no relevant instance "
+                "in G), so accuracy is undefined"
+            )
         results = [
             self.run_once(sampler_name, budget, seed=seed * 1000 + r)
             for r in range(runs)
         ]
-        acc = sum(1 for r in results if r.outcome.decision == truth) / runs
+        matches = sum(1 for r in results if r.outcome.decision == truth)
         return {
             "sampler": sampler_name,
             "budget": budget,
             "runs": runs,
-            "accuracy": acc,
+            "matches": matches,
+            "accuracy": matches / runs,
+            "accuracy_ci": wilson_interval(matches, runs),
             "avg_total_seconds": sum(r.total_seconds for r in results) / runs,
             "avg_sample_seconds": sum(r.sample_seconds for r in results) / runs,
             "results": results,

@@ -1,17 +1,18 @@
 """Hypothesis testing step of the framework (paper Fig. 2, right side).
 
-Given a graph (full G or sampled S) and a hypothesis, compute the
-estimator, the boolean decision H(·), and — for AVG hypotheses — the
-one-sample t-test p-value and confidence interval.
+Given a hypothesis's :class:`~repro.graph.walk_engine.WalkContext` and,
+for a sample S, its node set V_S, compute the estimator on G or S, the
+boolean decision H(·), and — for AVG hypotheses — the one-sample t-test
+p-value and confidence interval. Runs on the driver; no Spark job.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.core.estimator import Estimate, estimate
-from repro.core.hypothesis import Agg, Hypothesis
-from repro.graph.property_graph import PropertyGraph
+from repro.core.hypothesis import Agg
+from repro.graph.walk_engine import WalkContext
 from repro.stats.ttest import TTestResult, ttest_from_stats
 
 
@@ -41,17 +42,22 @@ class TestOutcome:
 
 
 def run_test(
-    graph: PropertyGraph, hyp: Hypothesis, *, confidence: float = 0.95
+    ctx: WalkContext,
+    members: Optional[Iterable[int]] = None,
+    *,
+    confidence: float = 0.95,
 ) -> TestOutcome:
-    """Extract relevant instances from ``graph``, aggregate, and decide."""
-    est = estimate(graph, hyp)
+    """Test ``ctx.hyp`` on G (``members`` None) or on the subgraph induced
+    on ``members``: extract relevant instances, aggregate, and decide."""
+    hyp = ctx.hyp
+    est = estimate(ctx, members)
     decision = hyp.decide(est.value)
     tt = None
     if est.n_instances > 0 and hyp.agg is Agg.AVG:
         tt = ttest_from_stats(
             est.n_instances,
             est.mean,
-            est.std if est.std is not None else 0.0,
+            est.std,
             hyp.c,
             alternative=hyp.op.alternative,
             confidence=confidence,

@@ -10,6 +10,9 @@ Scale knobs (env-overridable in the jobs): ``sf`` per dataset, sampling
 proportions per (dataset, type) mirroring the paper's column three —
 scaled up because our graphs are ~100× smaller (a 0.2% sample of a 7k-
 node graph would hold 14 nodes), and ``runs`` (paper: 30).
+
+A hypothesis with no relevant instance in G has no ground truth to score
+against; the accuracy runners skip it with a logged line.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from repro.core.framework import Experiment
 from repro.datasets import GENERATORS, Dataset
 from repro.datasets.bank import bank, dblp_long_paths
 from repro.samplers import ALL as ALL_SAMPLERS
+from repro.stats.proportion import wilson_interval
 
 # Paper Table 3/4 column three, scaled ~10x for graphs ~100x smaller:
 # the *ordering* across rows (path needs a larger proportion than node
@@ -109,10 +113,10 @@ def accuracy_time_grid(
 ) -> pd.DataFrame:
     """Run the full sampler × dataset × hypothesis-type grid.
 
-    Returns one row per (dataset, type, sampler) with the averaged
-    accuracy (Table 3) and total execution time (Table 4); per the
-    paper, each cell averages the bank's three hypotheses of that type,
-    each averaged over ``runs`` runs.
+    Returns one row per (dataset, type, hypothesis, sampler) with the
+    accuracy (Table 3), its ``Matches`` out of ``Runs``, and the average
+    total execution time (Table 4); per the paper, each cell averages the
+    bank's three hypotheses of that type, each over ``runs`` runs.
     """
     rows = []
     for dname in datasets:
@@ -131,10 +135,16 @@ def accuracy_time_grid(
                     f"value={truth.estimate.value}) budget={budget}",
                     flush=True,
                 )
+                if truth.decision is None:
+                    print("[grid]   skipped: no relevant instance in G", flush=True)
+                    exp.close()
+                    continue
                 for sname in samplers:
                     res = exp.accuracy(sname, budget, runs=runs, seed=seed)
+                    lo, hi = res["accuracy_ci"]
                     print(
                         f"[grid]   {sname:14s} acc={res['accuracy']:.2f} "
+                        f"[{lo:.2f}, {hi:.2f}] "
                         f"t={res['avg_total_seconds']:.2f}s",
                         flush=True,
                     )
@@ -146,6 +156,8 @@ def accuracy_time_grid(
                             "Hypothesis": hyp.name,
                             "Sampler": sname,
                             "Accuracy": res["accuracy"],
+                            "Matches": res["matches"],
+                            "Runs": runs,
                             "Time": res["avg_total_seconds"],
                         }
                     )
@@ -156,17 +168,18 @@ def accuracy_time_grid(
 
 def pivot_table3(grid: pd.DataFrame) -> pd.DataFrame:
     """Paper Table 3 layout: rows = (dataset, type), cols = samplers,
-    cells = accuracy averaged over the three hypotheses of the row."""
-    return (
-        grid.pivot_table(
-            index=["Dataset", "Type", "Proportion"],
-            columns="Sampler",
-            values="Accuracy",
-            aggfunc="mean",
-        )
-        .round(2)
-        .reset_index()
+    cells = accuracy averaged over the hypotheses of the row. Columns
+    ``<sampler>_lo`` and ``<sampler>_hi`` bound each cell with the Wilson
+    95% interval of the row's pooled matches and runs."""
+    cells = grid.groupby(["Dataset", "Type", "Proportion", "Sampler"]).agg(
+        Accuracy=("Accuracy", "mean"), Matches=("Matches", "sum"), Runs=("Runs", "sum")
     )
+    ci = [wilson_interval(k, n) for k, n in zip(cells["Matches"], cells["Runs"])]
+    cells["lo"], cells["hi"] = [c[0] for c in ci], [c[1] for c in ci]
+    out = cells["Accuracy"].unstack("Sampler")
+    for bound in ("lo", "hi"):
+        out = out.join(cells[bound].unstack("Sampler").add_suffix(f"_{bound}"))
+    return out.round(2).reset_index()
 
 
 def pivot_table4(grid: pd.DataFrame) -> pd.DataFrame:
@@ -178,7 +191,7 @@ def pivot_table4(grid: pd.DataFrame) -> pd.DataFrame:
             values="Time",
             aggfunc="mean",
         )
-        .round(2)
+        .round(4)
         .reset_index()
     )
 
@@ -195,19 +208,27 @@ def path_length_sweep(
     sf: float = 1.0,
     seed: int = 0,
 ) -> pd.DataFrame:
-    """Accuracy/time for the DBLP length-3 and length-4 path hypotheses."""
+    """Accuracy (with its Wilson 95% interval) and time for the DBLP
+    length-3 and length-4 path hypotheses."""
     ds = load_dataset(spark, "DBLP", sf)
     budget = max(20, int(proportion * ds.graph.num_nodes()))
     rows = []
     for length, hyp in dblp_long_paths().items():
         exp = Experiment(spark, ds.graph, hyp)
+        if exp.truth().decision is None:
+            print(f"[sweep] skipped {hyp.name}: no relevant instance in G", flush=True)
+            exp.close()
+            continue
         for sname in samplers:
             res = exp.accuracy(sname, budget, runs=runs, seed=seed)
+            lo, hi = res["accuracy_ci"]
             rows.append(
                 {
                     "Length": length,
                     "Sampler": sname,
                     "Accuracy": res["accuracy"],
+                    "Lo": lo,
+                    "Hi": hi,
                     "Time": res["avg_total_seconds"],
                 }
             )

@@ -1,12 +1,15 @@
 """Driver-side compressed sparse row (CSR) view of the symmetric adjacency.
 
-The walk engine and the BFS primitives run on this one structure. Nodes
-are addressed by *dense indices* ``0..n-1`` in ascending id order, so a
-smaller index always means a smaller node id.
+The walk engine, the BFS primitives and the estimator run on this one
+structure: the walks and BFS on the whole adjacency, the estimator on one
+filtered CSR per hypothesis path step. Nodes are addressed by *dense
+indices* ``0..n-1`` in ascending id order, so a smaller index always means
+a smaller node id.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -19,17 +22,26 @@ class CSR:
     indptr: np.ndarray
     nbr: np.ndarray
     deg: np.ndarray  # adjacency rows per node (the graph's degree)
+    val: Optional[np.ndarray] = None  # one value per slot of ``nbr``
 
     @classmethod
-    def build(cls, ids: np.ndarray, src: np.ndarray, dst: np.ndarray) -> "CSR":
-        """From sorted unique node ids and adjacency rows given by id."""
+    def build(
+        cls,
+        ids: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+        val: Optional[np.ndarray] = None,
+    ) -> "CSR":
+        """From sorted unique node ids and adjacency rows given by id;
+        ``val`` carries one value per row into :attr:`val`."""
         ids = np.asarray(ids, dtype=np.int64)
         s = np.searchsorted(ids, src)
         d = np.searchsorted(ids, dst)
         order = np.lexsort((d, s))
         deg = np.bincount(s, minlength=len(ids))
         indptr = np.concatenate(([0], np.cumsum(deg)))
-        return cls(ids, indptr, d[order], deg)
+        return cls(ids, indptr, d[order], deg,
+                   None if val is None else np.asarray(val)[order])
 
     @property
     def n(self) -> int:
@@ -44,18 +56,24 @@ class CSR:
             raise KeyError(f"node ids not in graph: {np.atleast_1d(x[bad])[:10]}")
         return i
 
-    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbors of every node in ``rows`` at once.
+    def slots(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Slot positions of the neighbor lists of every node in ``rows``.
 
-        Returns ``(owner, nbr)``: ``nbr[j]`` is a neighbor of
-        ``rows[owner[j]]``. Entries come grouped by ``owner`` in order,
-        each group in ascending neighbor index.
+        Returns ``(owner, pos)``: ``nbr[pos[j]]`` (and ``val[pos[j]]``)
+        belongs to ``rows[owner[j]]``. Entries come grouped by ``owner``
+        in order, each group in ascending neighbor index.
         """
         counts = self.deg[rows]
         ends = np.cumsum(counts)
         pos = np.repeat(self.indptr[rows] - ends + counts, counts)
         pos += np.arange(len(pos))
-        return np.repeat(np.arange(len(rows)), counts), self.nbr[pos]
+        return np.repeat(np.arange(len(rows)), counts), pos
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbors of every node in ``rows`` at once: ``(owner, nbr)``,
+        ordered as :meth:`slots`."""
+        owner, pos = self.slots(rows)
+        return owner, self.nbr[pos]
 
 
 def rank_in_group(group: np.ndarray, key: np.ndarray) -> np.ndarray:

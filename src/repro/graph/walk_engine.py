@@ -4,12 +4,13 @@ The substrate every random-walk sampler (SRW, NBRW, RWR, MHRW, FrontierS,
 PHASE, PHASE_opt) is configured from. :class:`WalkContext` collects the
 symmetric adjacency and the modifier flags to the driver once per (graph,
 hypothesis) pair, as a :class:`~repro.graph.csr.CSR` and a ``sat[n, L]``
-bitmask. A superstep is a few numpy operations over the advancing
-walkers' neighbor slices and launches no Spark job. When each superstep
-was a Spark dataflow of its own (broadcast join, ``row_number`` window
-for the cap, anti-join for the exclusion, ``collect``), it cost 3.4
-Spark jobs and 0.41-0.63 s on DBLP-lite, almost all fixed per-job
-latency (DESIGN.md §5).
+bitmask, together with the hypothesis columns the estimator
+(:mod:`repro.core.estimator`) builds its instance projection from. A superstep is a
+few numpy operations over the advancing walkers' neighbor slices and
+launches no Spark job. When each superstep was a Spark dataflow of its
+own (broadcast join, ``row_number`` window for the cap, anti-join for the
+exclusion, ``collect``), it cost 3.4 Spark jobs and 0.41-0.63 s on
+DBLP-lite, almost all fixed per-job latency (DESIGN.md §5).
 
 One superstep advances every gated walker at once; every walker chooses
 against V_S as it stood at the start of the superstep. The paper's
@@ -62,11 +63,21 @@ class WalkConfig:
 
 
 class WalkContext:
-    """Per-(graph, hypothesis) state shared by all samplers.
+    """Per-(graph, hypothesis) state shared by all samplers and the
+    estimator.
 
     Holds the graph's CSR (:attr:`csr`) and ``sat[i, j]``, whether node
-    ``i`` (a dense index) satisfies modifier M_{j+1}. Both are built with
-    two Spark jobs and live on the driver.
+    ``i`` (a dense index) satisfies modifier M_{j+1}. With a hypothesis it
+    also holds the columns the estimator builds its instance projection
+    from (and caches in :attr:`projection`):
+
+    - :attr:`node_f`: f_P per node when it is a node attribute;
+    - :attr:`adj`: the adjacency rows (``src``, ``dst``), one bool
+      ``r{i}`` per path step i (``etype == r_i``) and, when f_P is an
+      edge attribute, its value ``f``.
+
+    f_P is ``attrs[attr].cast("double")``; a null becomes NaN. Everything
+    is collected with two Spark jobs and lives on the driver.
     """
 
     def __init__(
@@ -78,19 +89,38 @@ class WalkContext:
         self.graph = graph
         self.hyp = hyp
         mods = hyp.modifiers if hyp is not None else ()
+        steps = hyp.steps if hyp is not None else ()
         self.n_modifiers = len(mods)
 
+        f = hyp.f if hyp is not None and hyp.f.attr is not None else None
+        node_f = f is not None and f.kind == "node"
+        edge_f = f is not None and f.kind == "edge"
+        f_col = [F.col("attrs").getItem(f.attr).cast("double").alias("f")] if f else []
+        sat_names = [f"sat{i}" for i in range(len(mods))]
         sat_cols = [
-            m.to_column(F.col("ntype"), F.col("attrs")).alias(f"sat{i}")
-            for i, m in enumerate(mods)
+            m.to_column(F.col("ntype"), F.col("attrs")).alias(name)
+            for m, name in zip(mods, sat_names)
         ]
-        nodes = graph.nodes.select("id", *sat_cols).toPandas().sort_values("id")
-        adj = graph.adjacency.select("src", "dst").toPandas()
+        step_cols = [
+            (F.col("etype") == F.lit(s.etype)).alias(f"r{i}")
+            for i, s in enumerate(steps)
+        ]
+        nodes = (
+            graph.nodes.select("id", *sat_cols, *(f_col if node_f else []))
+            .toPandas()
+            .sort_values("id")
+        )
+        adj = graph.adjacency.select(
+            "src", "dst", *step_cols, *(f_col if edge_f else [])
+        ).toPandas()
         self.csr = CSR.build(
-            nodes.pop("id").to_numpy(), adj["src"].to_numpy(), adj["dst"].to_numpy()
+            nodes["id"].to_numpy(), adj["src"].to_numpy(), adj["dst"].to_numpy()
         )
         # A null flag (e.g. a missing attribute) does not satisfy.
-        self.sat = nodes.fillna(False).to_numpy(dtype=bool)
+        self.sat = nodes[sat_names].fillna(False).to_numpy(dtype=bool)
+        self.node_f = nodes["f"].to_numpy(dtype=float) if node_f else None
+        self.adj = adj
+        self.projection = None
 
     # -- driver-side lookups by node id -------------------------------
     def degree(self, node: int) -> int:

@@ -1,4 +1,6 @@
-"""Statistics substrate: special functions and the one-sample t-test.
+"""Statistics substrate: special functions, the one-sample t-test and
+(in :mod:`repro.stats.proportion`) the Wilson interval for accuracy
+proportions.
 
 The container has no scipy, so the regularized incomplete beta function
 (and the Student-t distribution built on it) is implemented here from

@@ -40,6 +40,13 @@ def toy_graph(spark) -> PropertyGraph:
 
 
 @pytest.fixture(scope="session")
+def context(spark):
+    """``context(graph, hyp)``: the WalkContext that the estimator and the
+    test step read ``hyp``'s projection of ``graph`` from."""
+    return lambda graph, hyp: WalkContext(spark, graph, hyp)
+
+
+@pytest.fixture(scope="session")
 def toy_hyps() -> dict:
     """node / edge / path hypotheses over the toy graph."""
     a_any = Modifier("a")

@@ -1,7 +1,6 @@
 """Empirical convergence of the hypothesis estimator (paper §3.2.3):
 as the budget B grows, the estimator on S approaches θ on G, and at
 B = |V| it is exact (S = G)."""
-import pandas as pd
 import pytest
 
 from repro.core.estimator import estimate
@@ -14,13 +13,11 @@ class TestConvergence:
     def test_full_budget_is_exact(self, spark, ml, ml_edge_ctx):
         # With B = |V|, every sampler's S is all of G.
         hyp = bank("MovieLens")["edge"][0]
-        truth = estimate(ml.graph, hyp)
+        assert ml_edge_ctx.hyp == hyp
+        truth = estimate(ml_edge_ctx)
         n = ml.graph.num_nodes()
         ids = get_sampler("PHASE_opt").sample(ml_edge_ctx, n, seed=1)
-        sub = ml.graph.induced_subgraph(
-            spark.createDataFrame(pd.DataFrame({"id": ids}))
-        )
-        got = estimate(sub, hyp)
+        got = estimate(ml_edge_ctx, ids)
         assert got.n_instances == truth.n_instances
         assert got.value == pytest.approx(truth.value, rel=1e-9)
 
@@ -28,17 +25,15 @@ class TestConvergence:
         # Averaged over a few seeds, |θ̂ - θ| at B=75% is no worse than
         # at B=15% for PHASE_opt (SLLN, Theorem 1).
         hyp = bank("MovieLens")["edge"][0]
-        truth = estimate(ml.graph, hyp).value
+        assert ml_edge_ctx.hyp == hyp
+        truth = estimate(ml_edge_ctx).value
         n = ml.graph.num_nodes()
 
         def mean_err(budget):
             errs = []
             for seed in (1, 2, 3):
                 ids = get_sampler("PHASE_opt").sample(ml_edge_ctx, budget, seed=seed)
-                sub = ml.graph.induced_subgraph(
-                    spark.createDataFrame(pd.DataFrame({"id": ids}))
-                )
-                est = estimate(sub, hyp)
+                est = estimate(ml_edge_ctx, ids)
                 errs.append(abs(est.value - truth))
             return sum(errs) / len(errs)
 

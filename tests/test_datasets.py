@@ -145,7 +145,7 @@ class TestBankGroundTruths:
             ("Yelp", "node", 0, True),        # YP-N1 review_count > 120
         ],
     )
-    def test_expected_truth(self, request, dsname, htype, idx, expected):
+    def test_expected_truth(self, request, context, dsname, htype, idx, expected):
         from repro.core.testing import run_test
         from repro.datasets.bank import bank
 
@@ -153,4 +153,4 @@ class TestBankGroundTruths:
             {"MovieLens": "ml", "DBLP": "dblp", "Yelp": "yelp"}[dsname]
         )
         hyp = bank(dsname)[htype][idx]
-        assert run_test(ds.graph, hyp).decision is expected
+        assert run_test(context(ds.graph, hyp)).decision is expected

@@ -3,6 +3,9 @@ is exercised end-to-end on a reduced sampler set)."""
 import pandas as pd
 import pytest
 
+from repro import experiments
+from repro.core.hypothesis import Agg, AttrRef, Modifier, Op, path_hypothesis
+from repro.datasets import Dataset
 from repro.experiments import (
     PROPORTIONS,
     pivot_table3,
@@ -10,6 +13,8 @@ from repro.experiments import (
     table1,
 )
 from repro.samplers import ALL
+from repro.stats.proportion import wilson_interval
+from tests.conftest import TOY_A, TOY_B, TOY_R
 
 
 class TestProportions:
@@ -39,10 +44,12 @@ def _fake_grid() -> pd.DataFrame:
                     "Hypothesis": h,
                     "Sampler": s,
                     "Accuracy": acc,
+                    "Matches": int(acc * 2),
+                    "Runs": 2,
                     "Time": t,
                 }
             )
-    rows[2]["Accuracy"] = 0.0  # H2/A
+    rows[2]["Accuracy"], rows[2]["Matches"] = 0.0, 0  # H2/A
     return pd.DataFrame(rows)
 
 
@@ -52,6 +59,14 @@ class TestPivots:
         assert t3.loc[0, "A"] == pytest.approx(0.5)  # (1.0 + 0.0) / 2
         assert t3.loc[0, "B"] == pytest.approx(0.5)
 
+    def test_table3_wilson_interval_pools_runs(self):
+        # A: 2 + 0 matches in 2 + 2 runs; B: 1 + 1 in 2 + 2.
+        t3 = pivot_table3(_fake_grid())
+        lo, hi = wilson_interval(2, 4)
+        for s in ("A", "B"):
+            assert t3.loc[0, f"{s}_lo"] == pytest.approx(round(lo, 2))
+            assert t3.loc[0, f"{s}_hi"] == pytest.approx(round(hi, 2))
+
     def test_table4_averages_time(self):
         t4 = pivot_table4(_fake_grid())
         assert t4.loc[0, "A"] == pytest.approx(2.0)
@@ -60,6 +75,30 @@ class TestPivots:
     def test_layout_columns(self):
         t3 = pivot_table3(_fake_grid())
         assert list(t3.columns[:3]) == ["Dataset", "Type", "Proportion"]
+
+
+class TestUndecidedGroundTruth:
+    def test_runners_skip_hypothesis_without_instances(self, spark, monkeypatch, capsys):
+        zzz = path_hypothesis(
+            "toy-zzz", [Modifier("zzz")], [], AttrRef("node", 0, "x"), Agg.AVG, Op.GT, 0
+        )
+        monkeypatch.setattr(
+            experiments, "load_dataset",
+            lambda spark, name, sf=None: Dataset.build(
+                spark, "toy", {"a": TOY_A, "b": TOY_B}, {"r": TOY_R}
+            ),
+        )
+        monkeypatch.setattr(
+            experiments, "bank", lambda name: {"node": [zzz], "edge": [], "path": []}
+        )
+        monkeypatch.setattr(experiments, "dblp_long_paths", lambda: {3: zzz})
+        grid = experiments.accuracy_time_grid(
+            spark, datasets=("MovieLens",), samplers=("RNS",), runs=1
+        )
+        sweep = experiments.path_length_sweep(spark, samplers=("RNS",), runs=1)
+        assert grid.empty and sweep.empty
+        out = capsys.readouterr().out
+        assert out.count("skipped") == 2 and "toy-zzz" in out
 
 
 class TestTable1:

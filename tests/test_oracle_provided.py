@@ -38,3 +38,9 @@ class TestOracle:
         pdf = pd.DataFrame({"k": [1, 2]})
         sdf = spark.createDataFrame(pdf)
         assert_equivalent(sdf, "SELECT k FROM t", t=sdf)
+
+    def test_pandas_result_accepted(self):
+        pdf = pd.DataFrame({"k": [1, 2], "v": [1.0, 2.0]})
+        assert_equivalent(pdf.iloc[::-1], "SELECT k, v FROM t", t=pdf)
+        with pytest.raises(AssertionError):
+            assert_equivalent(pdf.head(1), "SELECT k, v FROM t", t=pdf)

@@ -139,3 +139,31 @@ class TestFromStats:
     def test_p_decreases_with_n(self):
         ps = [ttest_from_stats(n, 1.0, 2.0, 0.0).p_value for n in (5, 50, 500)]
         assert ps[0] > ps[1] > ps[2]
+
+
+class TestWilsonInterval:
+    @pytest.mark.parametrize(
+        "k,n,lo,hi",
+        # Reference values of the Wilson score interval at z = 1.96.
+        [(0, 10, 0.0, 0.2775), (10, 10, 0.7225, 1.0), (5, 10, 0.2366, 0.7634),
+         (27, 30, 0.7438, 0.9654)],
+    )
+    def test_reference_values(self, k, n, lo, hi):
+        from repro.stats.proportion import wilson_interval
+
+        got = wilson_interval(k, n)
+        assert got == pytest.approx((lo, hi), abs=1e-4)
+
+    def test_brackets_the_proportion(self):
+        from repro.stats.proportion import wilson_interval
+
+        for n in (1, 3, 30):
+            for k in range(n + 1):
+                lo, hi = wilson_interval(k, n)
+                assert 0.0 <= lo <= k / n <= hi <= 1.0
+
+    def test_no_trials_raises(self):
+        from repro.stats.proportion import wilson_interval
+
+        with pytest.raises(ValueError):
+            wilson_interval(0, 0)
