@@ -49,7 +49,13 @@ class RunResult:
 
 @dataclass
 class Experiment:
-    """Caches per-(graph, hypothesis) state across samplers and runs."""
+    """Caches per-(graph, hypothesis) state across samplers and runs.
+
+    ``spark`` is not used here: the context collects through ``graph``'s
+    own session. The field stays because callers (the table jobs and the
+    benchmark runner) construct ``Experiment(spark, graph, hyp)``
+    positionally.
+    """
 
     spark: SparkSession
     graph: PropertyGraph
@@ -59,7 +65,7 @@ class Experiment:
 
     def context(self) -> WalkContext:
         if self._ctx is None:
-            self._ctx = WalkContext(self.spark, self.graph, self.hyp)
+            self._ctx = WalkContext(self.graph, self.hyp)
         return self._ctx
 
     def truth(self) -> TestOutcome:
@@ -113,6 +119,5 @@ class Experiment:
         }
 
     def close(self) -> None:
-        if self._ctx is not None:
-            self._ctx.unpersist()
-            self._ctx = None
+        """Drop the cached context (it holds nothing on the cluster)."""
+        self._ctx = None

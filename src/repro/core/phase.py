@@ -19,61 +19,28 @@ candidate set *before* the weighted choice:
 2. Optim 2 — non-backtracking over the whole sample: N' = N[v] - V_S
    (``exclude_visited``).
 
-Paper defaults: m=50, n=30, w_h=10, w_l=0.1 (§4.1).
+Paper defaults (§4.1): m=50, w_h=10, w_l=0.1 are :class:`WalkConfig`'s
+defaults, and n=30.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.graph.walk_engine import WalkConfig, WalkContext, run_walk
 from repro.samplers.base import register
 
+PHASE = WalkConfig(advancement="phase", transition="phase")
+PHASE_OPT = replace(PHASE, neighbor_cap=30, exclude_visited=True)
 
-class _PhaseBase:
-    """Shared PHASE plumbing; subclasses define the engine config."""
 
-    m = 50
-    w_h = 10.0
-    w_l = 0.1
-
-    def config(self) -> WalkConfig:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def sample(self, ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
+def _register_phase(name: str, cfg: WalkConfig) -> None:
+    @register(name)
+    def sample(ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
         if ctx.hyp is None:
-            raise ValueError(f"{self.name} is hypothesis-aware: WalkContext "
+            raise ValueError(f"{name} is hypothesis-aware: WalkContext "
                              "must be built with a hypothesis")
-        return run_walk(ctx, self.config(), budget, seed=seed).node_ids
+        return run_walk(ctx, cfg, budget, seed=seed).node_ids
 
 
-@register
-class Phase(_PhaseBase):
-    """PHASE (Algorithm 1): full neighbor scan, no visited exclusion."""
-
-    name = "PHASE"
-
-    def config(self) -> WalkConfig:
-        return WalkConfig(
-            m=self.m,
-            advancement="phase",
-            transition="phase",
-            w_h=self.w_h,
-            w_l=self.w_l,
-        )
-
-
-@register
-class PhaseOpt(_PhaseBase):
-    """PHASE_opt (Algorithm 2): neighbor cap n=30 + V_S exclusion."""
-
-    name = "PHASE_opt"
-    n = 30
-
-    def config(self) -> WalkConfig:
-        return WalkConfig(
-            m=self.m,
-            advancement="phase",
-            transition="phase",
-            w_h=self.w_h,
-            w_l=self.w_l,
-            neighbor_cap=self.n,
-            exclude_visited=True,
-        )
+_register_phase("PHASE", PHASE)
+_register_phase("PHASE_opt", PHASE_OPT)

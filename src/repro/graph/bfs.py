@@ -1,13 +1,13 @@
 """BFS primitives over the driver-side CSR of the symmetric adjacency.
 
-Substrate for the expansion samplers (SBS, FFS) and ShortestPathS. Both
-the frontier and the graph live on the driver (see
-:mod:`repro.graph.walk_engine` for why), so a BFS level is a gather of
-the frontier's neighbor slices. Callers pass and receive node ids.
+Substrate for the expansion samplers (SBS, FFS) and ShortestPathS. Like
+:func:`~repro.graph.walk_engine.run_walk`, they address nodes by dense
+CSR index and keep the sample as a ``visited`` bitmap, so a BFS level is
+one gather of the frontier's neighbor slices.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -16,71 +16,57 @@ from repro.graph.csr import CSR, rank_in_group
 
 def expand_frontier(
     csr: CSR,
-    frontier: Iterable[int],
-    visited: Iterable[int],
-    *,
-    per_parent_cap: Optional[dict[int, int]] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> list[dict]:
-    """One BFS level: neighbors of ``frontier`` not in ``visited``.
+    frontier: np.ndarray,
+    visited: np.ndarray,
+    caps: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One BFS level: the ascending indices of unvisited neighbors of
+    ``frontier`` (distinct indices, in any order).
 
-    ``per_parent_cap`` limits how many (uniform-random, drawn with
-    ``rng``) neighbors each parent may contribute — the snowball fan-out
-    k or the forest-fire geometric burn count. Returns rows
-    ``{"src", "dst"}``; a dst reachable from several parents appears
-    once per parent (callers dedupe).
+    ``caps[j]`` limits how many uniformly chosen (with ``rng``) unvisited
+    neighbors ``frontier[j]`` may contribute — the snowball fan-out or
+    the forest-fire burn count. ``visited`` is not updated.
     """
-    parents = np.unique(csr.index(list(frontier)))
-    owner, dst = csr.gather(parents)
-    keep = ~np.isin(dst, csr.index(list(visited)))
+    # Draw in ascending index order whatever the frontier order; each cap
+    # moves with its parent.
+    order = np.argsort(frontier)
+    owner, dst = csr.gather(frontier[order])
+    caps = caps[order]
+    keep = ~visited[dst]
     owner, dst = owner[keep], dst[keep]
-    if per_parent_cap is not None:
-        cap = np.array([per_parent_cap.get(int(v), 0) for v in csr.ids[parents]])
-        keep = rank_in_group(owner, rng.random(len(dst))) < cap[owner]
-        owner, dst = owner[keep], dst[keep]
-    return [
-        {"src": s, "dst": d}
-        for s, d in zip(csr.ids[parents[owner]].tolist(), csr.ids[dst].tolist())
-    ]
+    keep = rank_in_group(owner, rng.random(len(dst))) < caps[owner]
+    return np.unique(dst[keep])
 
 
-def bfs_parents(
-    csr: CSR, sources: list[int], *, max_depth: int
-) -> dict[int, dict[int, int]]:
-    """Multi-source BFS with parent pointers.
+def bfs_parents(csr: CSR, root: int, *, max_depth: int) -> np.ndarray:
+    """BFS from the dense index ``root`` with parent pointers.
 
-    Returns ``{source: {node: parent}}`` for every node reached within
-    ``max_depth`` levels of its source. A node's parent is the
-    smallest-id node of the previous level adjacent to it.
+    Returns ``parent``: for every node reached within ``max_depth``
+    levels, the smallest-index node of the previous level adjacent to it
+    (``parent[root] == root``); -1 for every other node.
     """
-    parents: dict[int, dict[int, int]] = {}
-    for root in sorted(set(int(s) for s in sources)):
-        frontier = csr.index([root])
-        seen = np.zeros(csr.n, dtype=bool)
-        seen[frontier] = True
-        par = {root: root}
-        for _ in range(max_depth):
-            owner, dst = csr.gather(frontier)
-            fresh = ~seen[dst]
-            # The frontier is ascending, so a node's first occurrence
-            # carries its smallest parent.
-            dst, first = np.unique(dst[fresh], return_index=True)
-            src = frontier[owner[fresh][first]]
-            seen[dst] = True
-            par.update(zip(csr.ids[dst].tolist(), csr.ids[src].tolist()))
-            frontier = dst
-        parents[root] = par
-    return parents
+    parent = np.full(csr.n, -1, dtype=np.int64)
+    parent[root] = root
+    frontier = np.array([root])
+    for _ in range(max_depth):
+        owner, dst = csr.gather(frontier)
+        fresh = parent[dst] < 0
+        # The frontier is ascending, so a node's first occurrence
+        # carries its smallest parent.
+        dst, first = np.unique(dst[fresh], return_index=True)
+        parent[dst] = frontier[owner[fresh][first]]
+        frontier = dst
+    return parent
 
 
-def backtrack(parents: dict[int, int], source: int, target: int) -> Optional[list[int]]:
-    """Path source→target from a parent map, or None if unreached."""
-    if target not in parents:
+def backtrack(parent: np.ndarray, target: int) -> Optional[list[int]]:
+    """Path root→``target`` from a :func:`bfs_parents` array, or None if
+    ``target`` was not reached."""
+    if parent[target] < 0:
         return None
-    path = [target]
-    while path[-1] != source:
-        path.append(parents[path[-1]])
-        if len(path) > len(parents) + 1:
-            raise RuntimeError("parent-pointer cycle")
+    path = [int(target)]
+    while parent[path[-1]] != path[-1]:
+        path.append(int(parent[path[-1]]))
     path.reverse()
     return path

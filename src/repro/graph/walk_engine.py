@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from pyspark.sql import Column, SparkSession
+from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 from repro.core.hypothesis import Hypothesis
@@ -80,12 +80,7 @@ class WalkContext:
     is collected with two Spark jobs and lives on the driver.
     """
 
-    def __init__(
-        self,
-        spark: SparkSession,
-        graph: PropertyGraph,
-        hyp: Optional[Hypothesis] = None,
-    ):
+    def __init__(self, graph: PropertyGraph, hyp: Optional[Hypothesis] = None):
         self.graph = graph
         self.hyp = hyp
         mods = hyp.modifiers if hyp is not None else ()
@@ -132,10 +127,6 @@ class WalkContext:
     @property
     def node_ids(self) -> np.ndarray:
         return self.csr.ids
-
-    def unpersist(self) -> None:
-        """Nothing is cached on the cluster; kept so owners can release
-        every context the same way."""
 
 
 def _sat1(ctx: WalkContext, nodes: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""The 12 graph samplers of the paper (11 hypothesis-agnostic baselines
-plus PHASE / PHASE_opt), behind a uniform registry. Importing this
-package registers all of them."""
+"""The 13 graph samplers of the paper (11 hypothesis-agnostic baselines
+plus PHASE / PHASE_opt) in one registry, ``name -> Sampler(name,
+sample)``. Importing this package registers all of them."""
 from repro.samplers.base import SAMPLERS, Sampler, get_sampler  # noqa: F401
 from repro.samplers import edge_samplers  # noqa: F401,E402
 from repro.samplers import expansion_samplers  # noqa: F401,E402

@@ -1,40 +1,42 @@
-"""Sampler protocol and registry.
+"""The sampler registry: one table ``name -> Sampler(name, sample)``.
 
-A sampler takes the shared :class:`~repro.graph.walk_engine.WalkContext`
-(which carries the graph, its driver-side CSR, and the hypothesis
-flags — hypothesis-agnostic samplers simply ignore the flags), a
-budget, and a seed, and returns the sampled node set ``V_S``.
-The framework materializes the induced subgraph ``S`` from it.
+``sample(ctx, budget, *, seed)`` takes the shared
+:class:`~repro.graph.walk_engine.WalkContext` (the graph, its driver-side
+CSR and the hypothesis flags, which hypothesis-agnostic samplers ignore),
+a budget and a seed, and returns V_S, a list of at most ``budget``
+distinct node ids (RES counts its budget in edges, per §2.3). Each
+sampler is a setting of one kernel: a walk configuration
+(``run_walk``), a BFS expansion with a cap rule (``expand_frontier``),
+shortest paths (``bfs_parents``) or a one-job Spark draw.
 """
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple
 
-from repro.graph.walk_engine import WalkContext
+SampleFn = Callable[..., list[int]]
 
 
-class Sampler(Protocol):
-    """Uniform sampler interface; ``name`` matches the paper's label."""
+class Sampler(NamedTuple):
+    """A registered sampler; ``name`` matches the paper's label."""
 
     name: str
-
-    def sample(self, ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
-        """Return V_S, a list of at most ``budget`` distinct node ids
-        (RES interprets the budget in edges, per §2.3)."""
-        ...
+    sample: SampleFn
 
 
-SAMPLERS: dict[str, Callable[[], Sampler]] = {}
+SAMPLERS: dict[str, Sampler] = {}
 
 
-def register(factory: Callable[[], Sampler]) -> Callable[[], Sampler]:
-    """Class decorator: add a sampler class to the registry by its
-    ``name`` attribute."""
-    SAMPLERS[factory().name] = factory
-    return factory
+def register(name: str) -> Callable[[SampleFn], SampleFn]:
+    """Decorator: add ``sample`` to the registry under ``name``."""
+
+    def add(sample: SampleFn) -> SampleFn:
+        SAMPLERS[name] = Sampler(name, sample)
+        return sample
+
+    return add
 
 
 def get_sampler(name: str) -> Sampler:
     if name not in SAMPLERS:
         raise KeyError(f"unknown sampler {name!r}; known: {sorted(SAMPLERS)}")
-    return SAMPLERS[name]()
+    return SAMPLERS[name]

@@ -12,19 +12,10 @@ from repro.graph.walk_engine import WalkContext, urand
 from repro.samplers.base import register
 
 
-@register
-class RandomEdgeSampler:
-    """RES: endpoints of B uniformly sampled stored edges."""
-
-    name = "RES"
-
-    def sample(self, ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
-        u = urand(F.col("src"), F.col("dst"), F.col("etype"), seed=seed, tag="res")
-        rows = (
-            ctx.graph.edges.select("src", "dst")
-            .orderBy(u)
-            .limit(budget)
-            .collect()
-        )
-        ids = {int(r["src"]) for r in rows} | {int(r["dst"]) for r in rows}
-        return list(ids)
+@register("RES")
+def random_edge_sample(ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
+    """Endpoints of B uniformly sampled stored edges."""
+    u = urand(F.col("src"), F.col("dst"), F.col("etype"), seed=seed, tag="res")
+    rows = ctx.graph.edges.select("src", "dst").orderBy(u).limit(budget).collect()
+    ids = {int(r["src"]) for r in rows} | {int(r["dst"]) for r in rows}
+    return list(ids)

@@ -1,14 +1,17 @@
-"""Expansion samplers over the BFS substrate.
+"""Expansion samplers over the BFS substrate: one loop, two cap rules.
 
 - SBS (snowball, [Goodman 1961]): BFS from a seed, each visited node
-  recruits up to ``fanout`` unvisited neighbors per wave.
+  recruits up to k=5 unvisited neighbors per wave (a common setting).
 - FFS (forest fire, [Leskovec & Faloutsos 2006]): like SBS but each
-  burning node burns Geometric(p_f)-many unvisited neighbors.
+  burning node burns Geometric(1 - p_f)-many unvisited neighbors, with
+  forward-burning probability p_f=0.7 (the paper's [17] default).
 
 Both restart from a fresh random seed when the fire dies out before the
 budget is met (standard practice, keeps V_S at exactly B).
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -16,68 +19,41 @@ from repro.graph.bfs import expand_frontier
 from repro.graph.walk_engine import WalkContext
 from repro.samplers.base import register
 
+MAX_ROUNDS = 200
 
-class _Expansion:
-    name = "?"
+# Per-parent cap rule: (frontier size, rng) -> one cap per frontier node.
+CapRule = Callable[[int, np.random.Generator], np.ndarray]
+CAPS: dict[str, CapRule] = {
+    "SBS": lambda k, rng: np.full(k, 5),
+    "FFS": lambda k, rng: rng.geometric(1.0 - 0.7, size=k),
+}
 
-    def _caps(self, frontier: list[int], rng: np.random.Generator) -> dict[int, int]:
-        raise NotImplementedError  # pragma: no cover
 
-    def sample(self, ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
+def _register_expansion(name: str, caps: CapRule) -> None:
+    @register(name)
+    def sample(ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
         rng = np.random.default_rng(seed)
-        target = min(budget, len(ctx.node_ids))
-        visited: set[int] = set()
-        step = 0
-        max_rounds = 200
-        frontier: list[int] = []
-        while len(visited) < target and step < max_rounds:
-            step += 1
-            if not frontier:
-                s = int(rng.choice(ctx.node_ids))
-                visited.add(s)
-                frontier = [s]
+        n = ctx.csr.n
+        target = min(budget, n)
+        visited = np.zeros(n, dtype=bool)
+        frontier = np.array([], dtype=np.int64)
+        for _ in range(MAX_ROUNDS):
+            if np.count_nonzero(visited) >= target:
+                break
+            if len(frontier) == 0:
+                frontier = np.array([rng.choice(n)])
+                visited[frontier] = True
                 continue
-            rows = expand_frontier(
-                ctx.csr,
-                frontier,
-                visited,
-                per_parent_cap=self._caps(frontier, rng),
-                rng=rng,
+            new = expand_frontier(
+                ctx.csr, frontier, visited, caps(len(frontier), rng), rng
             )
-            new = {int(r["dst"]) for r in rows} - visited
-            if not new:
-                frontier = []  # fire died: reignite from a fresh seed
-                continue
-            new_list = sorted(new)
-            room = target - len(visited)
-            if len(new_list) > room:
-                new_list = [
-                    int(x)
-                    for x in rng.choice(np.array(new_list), size=room, replace=False)
-                ]
-            visited.update(new_list)
-            frontier = new_list
-        return list(visited)
+            room = target - np.count_nonzero(visited)
+            if len(new) > room:
+                new = rng.choice(new, size=room, replace=False)
+            visited[new] = True
+            frontier = new  # empty when the fire died: reignite next round
+        return ctx.csr.ids[visited].tolist()
 
 
-@register
-class SnowballSampler(_Expansion):
-    """SBS with fixed fan-out k=5 (a common setting)."""
-
-    name = "SBS"
-    fanout = 5
-
-    def _caps(self, frontier, rng):
-        return {int(v): self.fanout for v in frontier}
-
-
-@register
-class ForestFireSampler(_Expansion):
-    """FFS with forward-burning probability p_f=0.7 (paper [17] default);
-    burn counts are Geometric(1 - p_f) as in the original formulation."""
-
-    name = "FFS"
-    p_f = 0.7
-
-    def _caps(self, frontier, rng):
-        return {int(v): int(rng.geometric(1.0 - self.p_f)) for v in frontier}
+for name, caps in CAPS.items():
+    _register_expansion(name, caps)

@@ -12,31 +12,18 @@ from repro.graph.walk_engine import WalkContext, urand
 from repro.samplers.base import register
 
 
-@register
-class RandomNodeSampler:
+@register("RNS")
+def random_node_sample(ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
     """RNS [Stumpf et al. 2005]: B nodes uniformly at random."""
-
-    name = "RNS"
-
-    def sample(self, ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
-        u = urand(F.col("id"), seed=seed, tag="rns")
-        rows = (
-            ctx.graph.nodes.select("id")
-            .orderBy(u)
-            .limit(budget)
-            .collect()
-        )
-        return [int(r["id"]) for r in rows]
+    u = urand(F.col("id"), seed=seed, tag="rns")
+    rows = ctx.graph.nodes.select("id").orderBy(u).limit(budget).collect()
+    return [int(r["id"]) for r in rows]
 
 
-@register
-class DegreeBasedSampler:
+@register("DBS")
+def degree_based_sample(ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
     """DBS: B nodes drawn with probability proportional to degree."""
-
-    name = "DBS"
-
-    def sample(self, ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
-        u = urand(F.col("id"), seed=seed, tag="dbs")
-        key = -F.log(u) / F.greatest(F.col("degree").cast("double"), F.lit(1.0))
-        rows = ctx.graph.degrees.orderBy(key).limit(budget).collect()
-        return [int(r["id"]) for r in rows]
+    u = urand(F.col("id"), seed=seed, tag="dbs")
+    key = -F.log(u) / F.greatest(F.col("degree").cast("double"), F.lit(1.0))
+    rows = ctx.graph.degrees.orderBy(key).limit(budget).collect()
+    return [int(r["id"]) for r in rows]

@@ -8,64 +8,29 @@
 - FrontierS [Ribeiro & Towsley 2010]: m dependent walkers, the advancing
   walker chosen with degree-proportional probability, uniform neighbor.
 
-All share the engine's multi-walker batching (DESIGN.md §3); they stay
-hypothesis-agnostic because their transition mode is ``uniform``.
+All share the engine's multi-walker batching with m = 50 walkers
+(DESIGN.md §3); they stay hypothesis-agnostic because their transition
+mode is ``uniform``.
 """
 from __future__ import annotations
 
 from repro.graph.walk_engine import WalkConfig, WalkContext, run_walk
 from repro.samplers.base import register
 
-_DEFAULT_M = 50
+WALKS = {
+    "SRW": WalkConfig(),
+    "NBRW": WalkConfig(non_backtracking=True),
+    "RWR": WalkConfig(restart_prob=0.15),
+    "MHRW": WalkConfig(metropolis_hastings=True),
+    "FrontierS": WalkConfig(advancement="degree"),
+}
 
 
-class _WalkSampler:
-    """Shared plumbing: build the config, run the engine."""
-
-    name = "?"
-
-    def config(self) -> WalkConfig:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def sample(self, ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
-        return run_walk(ctx, self.config(), budget, seed=seed).node_ids
+def _register_walk(name: str, cfg: WalkConfig) -> None:
+    @register(name)
+    def sample(ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
+        return run_walk(ctx, cfg, budget, seed=seed).node_ids
 
 
-@register
-class SimpleRandomWalk(_WalkSampler):
-    name = "SRW"
-
-    def config(self) -> WalkConfig:
-        return WalkConfig(m=_DEFAULT_M)
-
-
-@register
-class NonBacktrackingRandomWalk(_WalkSampler):
-    name = "NBRW"
-
-    def config(self) -> WalkConfig:
-        return WalkConfig(m=_DEFAULT_M, non_backtracking=True)
-
-
-@register
-class RandomWalkWithRestart(_WalkSampler):
-    name = "RWR"
-
-    def config(self) -> WalkConfig:
-        return WalkConfig(m=_DEFAULT_M, restart_prob=0.15)
-
-
-@register
-class MetropolisHastingsRandomWalk(_WalkSampler):
-    name = "MHRW"
-
-    def config(self) -> WalkConfig:
-        return WalkConfig(m=_DEFAULT_M, metropolis_hastings=True)
-
-
-@register
-class FrontierSampler(_WalkSampler):
-    name = "FrontierS"
-
-    def config(self) -> WalkConfig:
-        return WalkConfig(m=_DEFAULT_M, advancement="degree")
+for name, cfg in WALKS.items():
+    _register_walk(name, cfg)

@@ -77,8 +77,8 @@ def ttest_from_stats(
 ) -> TTestResult:
     """One-sample t-test from summary statistics (n, mean, sample std).
 
-    This is what the framework uses: Spark aggregates n/mean/std over the
-    relevant instances, so per-instance values never leave the executors.
+    This is what the framework uses: the estimator reduces the relevant
+    instances to n/mean/std (:class:`~repro.core.estimator.Estimate`).
     """
     if n < 1:
         raise ValueError("ttest_from_stats requires n >= 1")

@@ -40,10 +40,10 @@ def toy_graph(spark) -> PropertyGraph:
 
 
 @pytest.fixture(scope="session")
-def context(spark):
+def context():
     """``context(graph, hyp)``: the WalkContext that the estimator and the
     test step read ``hyp``'s projection of ``graph`` from."""
-    return lambda graph, hyp: WalkContext(spark, graph, hyp)
+    return WalkContext
 
 
 @pytest.fixture(scope="session")
@@ -99,13 +99,11 @@ SAMPLE_SEED = 42
 
 
 @pytest.fixture(scope="session")
-def ml_edge_ctx(spark, ml):
+def ml_edge_ctx(ml):
     from repro.datasets.bank import bank
 
     hyp = bank("MovieLens")["edge"][0]  # ML-E1
-    ctx = WalkContext(spark, ml.graph, hyp)
-    yield ctx
-    ctx.unpersist()
+    return WalkContext(ml.graph, hyp)
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,14 @@
 """PHASE / PHASE_opt specifics (Algorithms 1 and 2)."""
 import pytest
 
-from repro.core.phase import Phase, PhaseOpt
+from repro.core.phase import PHASE, PHASE_OPT
 from repro.datasets.bank import bank
 from repro.graph.walk_engine import WalkContext, run_walk
 
 
 class TestConfigs:
     def test_phase_paper_parameters(self):
-        cfg = Phase().config()
+        cfg = PHASE
         # §4.1: m=50, w_h=10, w_l=0.1.
         assert cfg.m == 50
         assert cfg.w_h == 10.0
@@ -19,7 +19,7 @@ class TestConfigs:
         assert not cfg.exclude_visited
 
     def test_phase_opt_adds_both_optimizations(self):
-        cfg = PhaseOpt().config()
+        cfg = PHASE_OPT
         assert cfg.neighbor_cap == 30  # Optim 1, n=30
         assert cfg.exclude_visited  # Optim 2, N[v] - V_S
         # The weight functions are unchanged from PHASE.
@@ -35,34 +35,30 @@ class TestBehaviour:
         ids = get_sampler(name).sample(ml_edge_ctx, 25, seed=17)
         assert len(ids) == 25
 
-    def test_second_order_state_on_path_hypothesis(self, spark, dblp):
+    def test_second_order_state_on_path_hypothesis(self, dblp):
         # A path hypothesis (l=2) exercises the k-state (2nd-order walk).
         hyp = bank("DBLP")["path"][0]
-        ctx = WalkContext(spark, dblp.graph, hyp)
-        from repro.core.phase import PhaseOpt
-
-        res = run_walk(ctx, PhaseOpt().config(), 40, seed=3)
+        ctx = WalkContext(dblp.graph, hyp)
+        res = run_walk(ctx, PHASE_OPT, 40, seed=3)
         assert len(res.node_ids) == 40
-        ctx.unpersist()
 
     def test_phase_opt_faster_in_supersteps(self, ml_edge_ctx):
         # Optim 2 stops the walk from circling inside already-visited
         # relevant clusters, so distinct-node coverage needs fewer
         # supersteps — the source of the Table-2 speedup on our substrate.
-        plain = run_walk(ml_edge_ctx, Phase().config(), 30, seed=5)
-        opt = run_walk(ml_edge_ctx, PhaseOpt().config(), 30, seed=5)
+        plain = run_walk(ml_edge_ctx, PHASE, 30, seed=5)
+        opt = run_walk(ml_edge_ctx, PHASE_OPT, 30, seed=5)
         assert opt.supersteps <= plain.supersteps
 
-    def test_relevant_fraction_beats_uniform_walk(self, spark, ml):
+    def test_relevant_fraction_beats_uniform_walk(self, ml):
         from repro.graph.walk_engine import WalkConfig
 
         hyp = bank("MovieLens")["edge"][2]  # ML-E3: rare Documentary
-        ctx = WalkContext(spark, ml.graph, hyp)
+        ctx = WalkContext(ml.graph, hyp)
         doc = set(
             ml.node_tables["movie"]
             .query("genre == 'Documentary'")["id"]
         )
-        aware = run_walk(ctx, PhaseOpt().config(), 50, seed=21)
+        aware = run_walk(ctx, PHASE_OPT, 50, seed=21)
         unif = run_walk(ctx, WalkConfig(m=50), 50, seed=21)
         assert len(set(aware.node_ids) & doc) >= len(set(unif.node_ids) & doc)
-        ctx.unpersist()

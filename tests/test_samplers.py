@@ -1,8 +1,13 @@
 """Cross-sampler invariants (parametrized over every registered sampler,
 reusing one session-scoped run each) plus sampler-specific behavior."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.core.hypothesis import Agg, AttrRef, Modifier, Op, path_hypothesis
+from repro.core.phase import PHASE_OPT
+from repro.graph.property_graph import PropertyGraph
+from repro.graph.walk_engine import WalkConfig, WalkContext, run_walk
 from repro.samplers import AGNOSTIC, ALL, SAMPLERS, get_sampler
 from tests.conftest import SAMPLE_BUDGET, SAMPLE_SEED
 
@@ -53,10 +58,8 @@ class TestInvariants:
 
 
 @pytest.fixture(scope="module")
-def toy_path_ctx(spark, toy_graph, toy_hyps):
-    from repro.graph.walk_engine import WalkContext
-
-    return WalkContext(spark, toy_graph, toy_hyps["path"])
+def toy_path_ctx(toy_graph, toy_hyps):
+    return WalkContext(toy_graph, toy_hyps["path"])
 
 
 @pytest.mark.parametrize("name", [n for n in ALL_NAMES if n != "RES"])
@@ -64,6 +67,41 @@ def test_budget_above_graph_size_returns_every_node(toy_path_ctx, name):
     # The toy graph has 5 nodes; B = 36 > |V| must yield exactly V.
     ids = get_sampler(name).sample(toy_path_ctx, 36, seed=0)
     assert sorted(ids) == [1, 2, 3, 4, 5]
+
+
+@pytest.fixture(scope="module")
+def isolated_ctx(spark):
+    """The path 1-2-3-4-5-6 plus node 7, which has no edge."""
+    g = PropertyGraph.from_tables(
+        spark,
+        {"t": pd.DataFrame({"id": [1, 2, 3, 4, 5, 6, 7]})},
+        {"e": pd.DataFrame({"src": [1, 2, 3, 4, 5], "dst": [2, 3, 4, 5, 6]})},
+    )
+    hyp = path_hypothesis(
+        "iso", [Modifier("t")], [], AttrRef("node", 0, None), Agg.COUNT, Op.GT, 0.0
+    )
+    yield WalkContext(g, hyp)
+    g.unpersist()
+
+
+# Seed 4 starts one of SRW's two walkers on node 7. A uniform walk reaches
+# an isolated node only from a start or a teleport there, and it teleports
+# only from a dead end, so on other seeds SRW runs to MAX_SUPERSTEPS
+# and returns the 6 path nodes.
+ISOLATED_SEED = 4
+
+
+@pytest.mark.parametrize("name", ["SRW", "PHASE_opt", "SBS", "FFS", "ShortestPathS"])
+def test_isolated_node_budget_all_nodes(isolated_ctx, name):
+    ids = get_sampler(name).sample(isolated_ctx, 7, seed=ISOLATED_SEED)
+    assert sorted(ids) == [1, 2, 3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("cfg", [WalkConfig(), PHASE_OPT], ids=["SRW", "PHASE_opt"])
+def test_walker_on_isolated_node_teleports(isolated_ctx, cfg):
+    res = run_walk(isolated_ctx, cfg, 7, seed=ISOLATED_SEED)
+    assert res.teleports > 0
+    assert sorted(res.node_ids) == [1, 2, 3, 4, 5, 6, 7]
 
 
 class TestSamplerSpecific:
@@ -78,13 +116,10 @@ class TestSamplerSpecific:
         endpoints = {r["src"] for r in edges} | {r["dst"] for r in edges}
         assert set(sampler_runs["RES"]) <= endpoints
 
-    def test_phase_requires_hypothesis(self, spark, toy_graph):
-        from repro.graph.walk_engine import WalkContext
-
-        ctx = WalkContext(spark, toy_graph, None)
+    def test_phase_requires_hypothesis(self, toy_graph):
+        ctx = WalkContext(toy_graph, None)
         with pytest.raises(ValueError):
             get_sampler("PHASE_opt").sample(ctx, 3, seed=0)
-        ctx.unpersist()
 
     def test_phase_opt_oversamples_relevant(self, sampler_runs, ml, ml_edge_ctx):
         # Hypothesis-awareness (ML-E1: Comedy movies): PHASE_opt's sample

@@ -12,7 +12,7 @@ from repro.core.hypothesis import (
     Predicate,
     path_hypothesis,
 )
-from repro.core.phase import Phase, PhaseOpt
+from repro.core.phase import PHASE, PHASE_OPT
 from repro.datasets.bank import bank
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.walk_engine import (
@@ -50,74 +50,65 @@ class TestUrand:
 
 
 class TestWalkContext:
-    def test_agnostic_context_has_no_flags(self, spark, toy_graph):
-        ctx = WalkContext(spark, toy_graph, None)
+    def test_agnostic_context_has_no_flags(self, toy_graph):
+        ctx = WalkContext(toy_graph, None)
         assert ctx.n_modifiers == 0
         assert not ctx.sat1(1)
-        ctx.unpersist()
 
-    def test_hypothesis_flags(self, spark, toy_graph, toy_hyps):
-        ctx = WalkContext(spark, toy_graph, toy_hyps["edge"])  # M_1 = a[]
+    def test_hypothesis_flags(self, toy_graph, toy_hyps):
+        ctx = WalkContext(toy_graph, toy_hyps["edge"])  # M_1 = a[]
         assert ctx.sat1(1) and ctx.sat1(2)
         assert not ctx.sat1(3)
-        ctx.unpersist()
 
-    def test_degrees_exposed(self, spark, toy_graph):
-        ctx = WalkContext(spark, toy_graph, None)
+    def test_degrees_exposed(self, toy_graph):
+        ctx = WalkContext(toy_graph, None)
         assert ctx.degree(1) == 2
         assert ctx.degree(5) == 1
-        ctx.unpersist()
 
-    def test_unknown_node_id_raises(self, spark, toy_graph):
-        ctx = WalkContext(spark, toy_graph, None)
+    def test_unknown_node_id_raises(self, toy_graph):
+        ctx = WalkContext(toy_graph, None)
         with pytest.raises(KeyError):
             ctx.degree(99)
-        ctx.unpersist()
 
-    def test_csr_rowcount(self, spark, toy_graph):
-        ctx = WalkContext(spark, toy_graph, None)
+    def test_csr_rowcount(self, toy_graph):
+        ctx = WalkContext(toy_graph, None)
         assert len(ctx.csr.nbr) == 8  # both directions of 4 edges
-        ctx.unpersist()
 
 
 class TestAdvancementProbs:
-    def _ctx(self, spark, toy_graph, hyp=None):
-        return WalkContext(spark, toy_graph, hyp)
+    def _ctx(self, toy_graph, hyp=None):
+        return WalkContext(toy_graph, hyp)
 
-    def test_always_mode(self, spark, toy_graph):
-        ctx = self._ctx(spark, toy_graph)
+    def test_always_mode(self, toy_graph):
+        ctx = self._ctx(toy_graph)
         p = _advancement_probs(
             WalkConfig(advancement="always"), ctx, ctx.csr.index([1, 3])
         )
         assert (p == 1.0).all()
-        ctx.unpersist()
 
-    def test_degree_mode_proportional(self, spark, toy_graph):
-        ctx = self._ctx(spark, toy_graph)
+    def test_degree_mode_proportional(self, toy_graph):
+        ctx = self._ctx(toy_graph)
         p = _advancement_probs(
             WalkConfig(advancement="degree"), ctx, ctx.csr.index([1, 3])
         )
         # degrees 2 and 1 -> weights 2/3, 1/3 -> probs min(1, 2*w).
         assert p[0] == pytest.approx(min(1.0, 2 * 2 / 3))
         assert p[1] == pytest.approx(min(1.0, 2 * 1 / 3))
-        ctx.unpersist()
 
-    def test_phase_mode_uses_sat1(self, spark, toy_graph, toy_hyps):
-        ctx = self._ctx(spark, toy_graph, toy_hyps["edge"])
+    def test_phase_mode_uses_sat1(self, toy_graph, toy_hyps):
+        ctx = self._ctx(toy_graph, toy_hyps["edge"])
         p = _advancement_probs(
             WalkConfig(advancement="phase", w_h=10, w_l=0.1), ctx,
             ctx.csr.index([1, 3]),
         )
         assert p[0] > p[1]  # node 1 satisfies M_1, node 3 does not
-        ctx.unpersist()
 
-    def test_unknown_mode(self, spark, toy_graph):
-        ctx = self._ctx(spark, toy_graph)
+    def test_unknown_mode(self, toy_graph):
+        ctx = self._ctx(toy_graph)
         with pytest.raises(ValueError):
             _advancement_probs(
                 WalkConfig(advancement="bogus"), ctx, ctx.csr.index([1])
             )
-        ctx.unpersist()
 
 
 class TestRunWalk:
@@ -145,11 +136,11 @@ class TestRunWalk:
         res = run_walk(ml_edge_ctx, WalkConfig(m=50), 10, seed=1)
         assert len(res.node_ids) == 10
 
-    def test_phase_transition_biases_sample(self, spark, ml):
+    def test_phase_transition_biases_sample(self, ml):
         # With the ML-E1 hypothesis (Comedy movies as M_2), the PHASE
         # transition must oversample relevant nodes vs a uniform walk.
         hyp = bank("MovieLens")["edge"][0]
-        ctx = WalkContext(spark, ml.graph, hyp)
+        ctx = WalkContext(ml.graph, hyp)
         unif = run_walk(ctx, WalkConfig(m=10), 60, seed=9)
         aware = run_walk(
             ctx,
@@ -164,7 +155,6 @@ class TestRunWalk:
             return len(set(ids) & comedy) / len(ids)
 
         assert frac_relevant(aware.node_ids) > frac_relevant(unif.node_ids)
-        ctx.unpersist()
 
     def test_exclude_visited_reduces_supersteps(self, ml_edge_ctx):
         plain = run_walk(ml_edge_ctx, WalkConfig(m=5), 30, seed=2)
@@ -215,7 +205,7 @@ def star_ctx(spark):
         "star", [Modifier("c"), Modifier("l", (Predicate("flag", "==", "on"),))],
         ["e"], AttrRef("node", 0, None), Agg.COUNT, Op.GT, 0.0,
     )
-    yield WalkContext(spark, g, hyp)
+    yield WalkContext(g, hyp)
     g.unpersist()
 
 
@@ -226,7 +216,7 @@ def _walkers_on_centre(ctx, walkers):
 
 class TestTransitionDistribution:
     def test_weighted_choice_share(self, star_ctx):
-        cfg = Phase().config()
+        cfg = PHASE
         rng = np.random.default_rng(0)
         draws = 4000
         cur, prev, k = _walkers_on_centre(star_ctx, draws)
@@ -243,7 +233,7 @@ class TestTransitionDistribution:
         assert (new_k[on] == 2).all() and (new_k[~on] == 0).all()
 
     def test_phase_opt_caps_and_excludes(self, star_ctx):
-        cfg = PhaseOpt().config()
+        cfg = PHASE_OPT
         rng = np.random.default_rng(1)
         walkers = 3000
         cur, prev, k = _walkers_on_centre(star_ctx, walkers)
