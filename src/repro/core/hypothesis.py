@@ -89,22 +89,6 @@ class Predicate:
             lit = F.lit(str(self.value))
         return ops[self.op](v, lit)
 
-    def eval(self, attrs: dict) -> bool:
-        """Pure-Python evaluation (used by tests/oracle helpers)."""
-        raw = attrs.get(self.attr)
-        if raw is None:
-            return False
-        a = float(raw) if self.numeric else str(raw)
-        b = float(self.value) if self.numeric else str(self.value)
-        return {
-            "==": a == b,
-            "!=": a != b,
-            ">": a > b,
-            ">=": a >= b,
-            "<": a < b,
-            "<=": a <= b,
-        }[self.op]
-
 
 @dataclass(frozen=True)
 class Modifier:

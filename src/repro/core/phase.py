@@ -4,12 +4,13 @@ PHASE (Algorithm 1) is an m-dimensional FrontierS-style random walk with
 two weight functions:
 
 1. Walker-selection weights L_w: walkers sitting on a node satisfying
-   the first modifier M_1 get weight ``w_h``, others ``w_l`` (engine
-   advancement mode ``phase``).
+   the first modifier M_1 get weight ``w_h``, others ``w_l``.
 2. Hypothesis-aware transition weights (Fig. 3): neighbors that continue
    the path's modifier sequence (tracked per-walker as the matched
    prefix length k — the 2nd/higher-order state for l >= 2) get ``w_h``,
-   others ``w_l`` (engine transition mode ``phase``).
+   others ``w_l``.
+
+The engine's ``weights="phase"`` applies both.
 
 PHASE_opt (Algorithm 2) adds the two optimizations, both applied to the
 candidate set *before* the weighted choice:
@@ -19,8 +20,8 @@ candidate set *before* the weighted choice:
 2. Optim 2 — non-backtracking over the whole sample: N' = N[v] - V_S
    (``exclude_visited``).
 
-Paper defaults (§4.1): m=50, w_h=10, w_l=0.1 are :class:`WalkConfig`'s
-defaults, and n=30.
+Paper defaults (§4.1): m=50, w_h=10, w_l=0.1 are the engine's constants
+``M``, ``W_H`` and ``W_L``, and n=30.
 """
 from __future__ import annotations
 
@@ -29,16 +30,13 @@ from dataclasses import replace
 from repro.graph.walk_engine import WalkConfig, WalkContext, run_walk
 from repro.samplers.base import register
 
-PHASE = WalkConfig(advancement="phase", transition="phase")
+PHASE = WalkConfig(weights="phase")
 PHASE_OPT = replace(PHASE, neighbor_cap=30, exclude_visited=True)
 
 
 def _register_phase(name: str, cfg: WalkConfig) -> None:
     @register(name)
     def sample(ctx: WalkContext, budget: int, *, seed: int) -> list[int]:
-        if ctx.hyp is None:
-            raise ValueError(f"{name} is hypothesis-aware: WalkContext "
-                             "must be built with a hypothesis")
         return run_walk(ctx, cfg, budget, seed=seed).node_ids
 
 

@@ -41,12 +41,7 @@ class TestOutcome:
         return (self.ttest.ci_low, self.ttest.ci_high)
 
 
-def run_test(
-    ctx: WalkContext,
-    members: Optional[Iterable[int]] = None,
-    *,
-    confidence: float = 0.95,
-) -> TestOutcome:
+def run_test(ctx: WalkContext, members: Optional[Iterable[int]] = None) -> TestOutcome:
     """Test ``ctx.hyp`` on G (``members`` None) or on the subgraph induced
     on ``members``: extract relevant instances, aggregate, and decide."""
     hyp = ctx.hyp
@@ -60,6 +55,5 @@ def run_test(
             est.std,
             hyp.c,
             alternative=hyp.op.alternative,
-            confidence=confidence,
         )
     return TestOutcome(hyp.name, est, decision, tt)

@@ -1,5 +1,4 @@
-"""Table runners for the evaluation section (shared by jobs/ and
-benchmarks/).
+"""Table runners for the evaluation section (run by jobs/).
 
 Each function reproduces one table of the paper at a configurable scale
 (see EXPERIMENTS.md for paper-vs-measured): Table 1 dataset statistics,

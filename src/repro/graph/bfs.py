@@ -21,8 +21,9 @@ def expand_frontier(
     caps: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One BFS level: the ascending indices of unvisited neighbors of
-    ``frontier`` (distinct indices, in any order).
+    """One BFS level: the distinct unvisited neighbors of ``frontier``
+    that the caps let through, as ascending dense indices. ``frontier``
+    may be in any order.
 
     ``caps[j]`` limits how many uniformly chosen (with ``rng``) unvisited
     neighbors ``frontier[j]`` may contribute — the snowball fan-out or

@@ -23,13 +23,6 @@ from pyspark.sql import functions as F
 INV_SUFFIX = "_inv"
 
 
-def inverse_etype(etype: str) -> str:
-    """Name of the inverse relation of ``etype`` (involutive)."""
-    if etype.endswith(INV_SUFFIX):
-        return etype[: -len(INV_SUFFIX)]
-    return etype + INV_SUFFIX
-
-
 class PropertyGraph:
     """An attributed graph held as cached Spark DataFrames.
 

@@ -35,9 +35,20 @@ from repro.graph.property_graph import PropertyGraph
 
 _M = 1_000_000_007
 
-# Supersteps after which a walk returns what it has (dead graphs teleport,
-# so in practice the budget is always reached first).
+# Supersteps after which a walk returns what it has, short of the budget
+# if need be. Teleports keep a walk moving but not always onto new nodes:
+# at B = |V|/2 on DBLP- and Yelp-lite, MHRW, FrontierS and PHASE stop
+# here 4-43% short of B (ROADMAP item 5).
 MAX_SUPERSTEPS = 400
+
+# Paper §4.1: m = 50 dependent walkers, L_w and transition weights
+# w_h = 10 for nodes that match, w_l = 0.1 for the rest.
+M, W_H, W_L = 50, 10.0, 0.1
+
+# Walker-selection and transition weights: uniform (1 each), degree
+# (FrontierS: walker selection by degree, uniform neighbor) or phase
+# (PHASE: L_w walker selection and the Fig. 3 transitions).
+WEIGHTS = ("uniform", "degree", "phase")
 
 
 def urand(*cols: Column, seed: int, tag: str) -> Column:
@@ -50,16 +61,12 @@ def urand(*cols: Column, seed: int, tag: str) -> Column:
 class WalkConfig:
     """Configuration that turns the engine into a specific sampler."""
 
-    m: int = 50  # number of dependent walkers (paper's m)
+    weights: str = "uniform"  # one of WEIGHTS
     non_backtracking: bool = False  # NBRW: never step back to prev
     exclude_visited: bool = False  # PHASE_opt Optim 2: N[v] - V_S
     neighbor_cap: Optional[int] = None  # PHASE_opt Optim 1: n candidates
     restart_prob: float = 0.0  # RWR: jump back to the walker's seed
     metropolis_hastings: bool = False  # MHRW degree-ratio accept/reject
-    advancement: str = "always"  # always | degree | phase (the L_w gate)
-    transition: str = "uniform"  # uniform | phase (Fig. 3 matrices)
-    w_h: float = 10.0
-    w_l: float = 0.1
 
 
 class WalkContext:
@@ -112,49 +119,34 @@ class WalkContext:
             nodes["id"].to_numpy(), adj["src"].to_numpy(), adj["dst"].to_numpy()
         )
         # A null flag (e.g. a missing attribute) does not satisfy.
-        self.sat = nodes[sat_names].fillna(False).to_numpy(dtype=bool)
+        self.sat = nodes[sat_names].to_numpy(dtype=bool, na_value=False)
         self.node_f = nodes["f"].to_numpy(dtype=float) if node_f else None
         self.adj = adj
         self.projection = None
 
-    # -- driver-side lookups by node id -------------------------------
-    def degree(self, node: int) -> int:
-        return int(self.csr.deg[self.csr.index(node)])
 
-    def sat1(self, node: int) -> bool:
-        return bool(_sat1(self, self.csr.index(node)))
-
-    @property
-    def node_ids(self) -> np.ndarray:
-        return self.csr.ids
-
-
-def _sat1(ctx: WalkContext, nodes: np.ndarray) -> np.ndarray:
-    """Whether each node (dense index) satisfies M_1; all False without
-    a hypothesis."""
+def _initial_k(ctx: WalkContext, nodes: np.ndarray) -> np.ndarray:
+    """Matched-prefix length of walkers freshly placed on the dense
+    indices ``nodes``: 1 where the node satisfies M_1, else 0 (always 0
+    without a hypothesis)."""
     if ctx.n_modifiers == 0:
-        return np.zeros(np.shape(nodes), dtype=bool)
-    return ctx.sat[nodes, 0]
+        return np.zeros(np.shape(nodes), dtype=np.int64)
+    return ctx.sat[nodes, 0].astype(np.int64)
 
 
 def _advancement_probs(cfg: WalkConfig, ctx: WalkContext, cur: np.ndarray) -> np.ndarray:
     """Per-walker advancement probability min(1, m * w_i / sum(w)) for
     walkers on the dense indices ``cur``."""
     m = len(cur)
-    if cfg.advancement == "always":
+    if cfg.weights == "uniform":
         return np.ones(m)
-    if cfg.advancement == "degree":
+    if cfg.weights == "degree":
         w = np.maximum(ctx.csr.deg[cur], 1).astype(float)
-    elif cfg.advancement == "phase":
-        w = np.where(_sat1(ctx, cur), cfg.w_h, cfg.w_l)
+    elif cfg.weights == "phase":
+        w = np.where(ctx.sat[cur, 0], W_H, W_L)
     else:
-        raise ValueError(f"unknown advancement mode {cfg.advancement!r}")
+        raise ValueError(f"unknown weights {cfg.weights!r}")
     return np.minimum(1.0, m * w / w.sum())
-
-
-def _initial_k(ctx: WalkContext, nodes: np.ndarray) -> np.ndarray:
-    """Matched-prefix length of walkers freshly placed on ``nodes``."""
-    return _sat1(ctx, nodes).astype(np.int64)
 
 
 def _candidates(
@@ -198,20 +190,18 @@ def _choose(
     ``k[walker]`` is the walker's matched-prefix length. Returns
     ``(walker, dst, new_k)``, one row per walker, with k after the move.
     """
-    L = ctx.n_modifiers
-    if cfg.transition == "uniform" or L == 0:
+    if cfg.weights != "phase":
         w, new_k = np.ones(len(dst)), np.zeros(len(dst), dtype=np.int64)
-    elif cfg.transition == "phase":
+    else:
+        L = ctx.n_modifiers
         # Fig. 3 generalized: w_h if the candidate continues the matched
         # modifier prefix (or restarts a match at M_1), else w_l. The
         # walker's k realizes the 2nd/higher-order dependence for paths.
         kw, sat = k[walker], ctx.sat[dst]
         continues = (kw < L) & sat[np.arange(len(dst)), np.minimum(kw, L - 1)]
         restarts = sat[:, 0]
-        w = np.where(continues | restarts, cfg.w_h, cfg.w_l)
+        w = np.where(continues | restarts, W_H, W_L)
         new_k = np.where(continues, kw + 1, restarts.astype(np.int64))
-    else:
-        raise ValueError(f"unknown transition mode {cfg.transition!r}")
     win = rank_in_group(walker, rng.standard_exponential(len(dst)) / w) == 0
     return walker[win], dst[win], new_k[win]
 
@@ -230,6 +220,11 @@ def run_walk(
 ) -> WalkResult:
     """Run the configured walk until min(``budget``, |V|) distinct nodes
     are sampled (or ``MAX_SUPERSTEPS`` is hit)."""
+    if cfg.weights not in WEIGHTS:
+        raise ValueError(f"unknown weights {cfg.weights!r}")
+    if cfg.weights == "phase" and ctx.hyp is None:
+        raise ValueError("phase weights are hypothesis-aware: WalkContext "
+                         "must be built with a hypothesis")
     rng = np.random.default_rng(seed)
     n = ctx.csr.n
     target = min(budget, n)
@@ -238,7 +233,7 @@ def run_walk(
     # m=50 would leave ~3-step fragments that hold no length-2 path, so
     # m scales with the budget (~6+ steps per walker — enough for the
     # l<=4 paths of the bank while keeping superstep counts bounded).
-    m = min(cfg.m, max(2, budget // 6), n)
+    m = min(M, max(2, budget // 6), n)
 
     cur = rng.choice(n, size=m, replace=False)
     prev = np.full(m, -1, dtype=np.int64)

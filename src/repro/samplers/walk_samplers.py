@@ -9,8 +9,8 @@
   walker chosen with degree-proportional probability, uniform neighbor.
 
 All share the engine's multi-walker batching with m = 50 walkers
-(DESIGN.md §3); they stay hypothesis-agnostic because their transition
-mode is ``uniform``.
+(DESIGN.md §3); they stay hypothesis-agnostic because their weights are
+``uniform`` or ``degree``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ WALKS = {
     "NBRW": WalkConfig(non_backtracking=True),
     "RWR": WalkConfig(restart_prob=0.15),
     "MHRW": WalkConfig(metropolis_hastings=True),
-    "FrontierS": WalkConfig(advancement="degree"),
+    "FrontierS": WalkConfig(weights="degree"),
 }
 
 

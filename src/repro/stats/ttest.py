@@ -62,9 +62,6 @@ class TTestResult:
     ci_low: float
     ci_high: float
 
-    def significant(self, alpha: float = 0.05) -> bool:
-        return self.p_value < alpha
-
 
 def ttest_from_stats(
     n: int,
@@ -73,9 +70,9 @@ def ttest_from_stats(
     c: float,
     *,
     alternative: str = "greater",
-    confidence: float = 0.95,
 ) -> TTestResult:
-    """One-sample t-test from summary statistics (n, mean, sample std).
+    """One-sample t-test from summary statistics (n, mean, sample std),
+    with a 95% confidence interval.
 
     This is what the framework uses: the estimator reduces the relevant
     instances to n/mean/std (:class:`~repro.core.estimator.Estimate`).
@@ -103,7 +100,7 @@ def ttest_from_stats(
         p = 2.0 * t_sf(abs(t), df)
     else:
         raise ValueError(f"unknown alternative: {alternative!r}")
-    tq = t_ppf(0.5 + confidence / 2.0, df)
+    tq = t_ppf(0.975, df)  # two-sided 95% interval
     return TTestResult(n, mean, std, t, p, mean - tq * se, mean + tq * se)
 
 
@@ -112,7 +109,6 @@ def one_sample_ttest(
     c: float,
     *,
     alternative: str = "greater",
-    confidence: float = 0.95,
 ) -> TTestResult:
     """One-sample t-test of H0: mean == ``c``.
 
@@ -127,6 +123,4 @@ def one_sample_ttest(
         raise ValueError("one_sample_ttest requires at least one value")
     mean = sum(xs) / n
     var = sum((x - mean) ** 2 for x in xs) / (n - 1) if n > 1 else 0.0
-    return ttest_from_stats(
-        n, mean, math.sqrt(var), c, alternative=alternative, confidence=confidence
-    )
+    return ttest_from_stats(n, mean, math.sqrt(var), c, alternative=alternative)

@@ -1,5 +1,7 @@
 """Unit tests for the hypothesis data model (paper §2.2 formalism)."""
+import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.hypothesis import (
     Agg,
@@ -11,16 +13,38 @@ from repro.core.hypothesis import (
     Predicate,
     path_hypothesis,
 )
+from repro.graph.property_graph import PropertyGraph
+from repro.graph.walk_engine import WalkContext
+
+
+def _holds(spark, pred: Predicate, attrs: dict):
+    """``pred`` evaluated as the program evaluates it: ``to_column`` over
+    a one-row ``map<string,string>`` attrs column."""
+    df = spark.createDataFrame([(attrs,)], "attrs map<string,string>")
+    return df.select(pred.to_column(F.col("attrs")).alias("v")).first()["v"]
 
 
 class TestPredicate:
-    def test_categorical_eval(self):
+    def test_categorical_eval(self, spark):
         p = Predicate("genre", "==", "Comedy")
-        assert p.eval({"genre": "Comedy"})
-        assert not p.eval({"genre": "Action"})
+        assert _holds(spark, p, {"genre": "Comedy"}) is True
+        assert _holds(spark, p, {"genre": "Action"}) is False
 
-    def test_missing_attr_is_false(self):
-        assert not Predicate("x", "==", "1").eval({})
+    def test_missing_attr_is_false(self, spark):
+        # Node 2's flag is None. ``flag != on`` reads a null there, and
+        # the context's sat flags must hold False for it.
+        g = PropertyGraph.from_tables(
+            spark,
+            {"t": pd.DataFrame({"id": [1, 2, 3], "flag": ["on", None, "off"]})},
+            {"e": pd.DataFrame({"src": [1, 2], "dst": [2, 3]})},
+        )
+        hyp = path_hypothesis(
+            "null-flag", [Modifier("t", (Predicate("flag", "!=", "on"),))], [],
+            AttrRef("node", 0, None), Agg.COUNT, Op.GT, 0.0,
+        )
+        ctx = WalkContext(g, hyp)
+        assert ctx.sat[ctx.csr.index([1, 2, 3]), 0].tolist() == [False, False, True]
+        g.unpersist()
 
     @pytest.mark.parametrize(
         "op,val,attrs,expected",
@@ -34,17 +58,17 @@ class TestPredicate:
             ("==", 10, {"age": "10"}, True),
         ],
     )
-    def test_numeric_ops(self, op, val, attrs, expected):
-        assert Predicate("age", op, val, numeric=True).eval(attrs) is expected
+    def test_numeric_ops(self, spark, op, val, attrs, expected):
+        assert _holds(spark, Predicate("age", op, val, numeric=True), attrs) is expected
 
-    def test_numeric_string_coercion(self):
+    def test_numeric_string_coercion(self, spark):
         # Attribute values are stored as strings in the map; numeric
-        # predicates must cast.
-        assert Predicate("year", "==", 2005, numeric=True).eval({"year": "2005"})
+        # predicates must cast ("2005.0" is not the string "2005").
+        p = Predicate("year", "==", 2005, numeric=True)
+        assert _holds(spark, p, {"year": "2005"}) is True
+        assert _holds(spark, p, {"year": "2005.0"}) is True
 
     def test_bad_op_raises_in_column(self):
-        from pyspark.sql import functions as F
-
         with pytest.raises(ValueError):
             Predicate("x", "~", 1).to_column(F.col("attrs"))
 

@@ -3,18 +3,15 @@ import pytest
 
 from repro.core.phase import PHASE, PHASE_OPT
 from repro.datasets.bank import bank
-from repro.graph.walk_engine import WalkContext, run_walk
+from repro.graph.walk_engine import M, W_H, W_L, WalkConfig, WalkContext, run_walk
 
 
 class TestConfigs:
     def test_phase_paper_parameters(self):
         cfg = PHASE
         # §4.1: m=50, w_h=10, w_l=0.1.
-        assert cfg.m == 50
-        assert cfg.w_h == 10.0
-        assert cfg.w_l == 0.1
-        assert cfg.advancement == "phase"
-        assert cfg.transition == "phase"
+        assert (M, W_H, W_L) == (50, 10.0, 0.1)
+        assert cfg.weights == "phase"
         assert cfg.neighbor_cap is None
         assert not cfg.exclude_visited
 
@@ -23,8 +20,7 @@ class TestConfigs:
         assert cfg.neighbor_cap == 30  # Optim 1, n=30
         assert cfg.exclude_visited  # Optim 2, N[v] - V_S
         # The weight functions are unchanged from PHASE.
-        assert cfg.advancement == "phase"
-        assert cfg.transition == "phase"
+        assert cfg.weights == "phase"
 
 
 class TestBehaviour:
@@ -51,8 +47,6 @@ class TestBehaviour:
         assert opt.supersteps <= plain.supersteps
 
     def test_relevant_fraction_beats_uniform_walk(self, ml):
-        from repro.graph.walk_engine import WalkConfig
-
         hyp = bank("MovieLens")["edge"][2]  # ML-E3: rare Documentary
         ctx = WalkContext(ml.graph, hyp)
         doc = set(
@@ -60,5 +54,5 @@ class TestBehaviour:
             .query("genre == 'Documentary'")["id"]
         )
         aware = run_walk(ctx, PHASE_OPT, 50, seed=21)
-        unif = run_walk(ctx, WalkConfig(m=50), 50, seed=21)
+        unif = run_walk(ctx, WalkConfig(), 50, seed=21)
         assert len(set(aware.node_ids) & doc) >= len(set(unif.node_ids) & doc)

@@ -3,15 +3,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.graph.property_graph import PropertyGraph, inverse_etype
-
-
-class TestInverseEtype:
-    def test_forward(self):
-        assert inverse_etype("Rates") == "Rates_inv"
-
-    def test_involutive(self):
-        assert inverse_etype(inverse_etype("Rates")) == "Rates"
+from repro.graph.property_graph import PropertyGraph
 
 
 class TestConstruction:

@@ -1,6 +1,7 @@
 """Cross-sampler invariants (parametrized over every registered sampler,
 reusing one session-scoped run each) plus sampler-specific behavior."""
-import numpy as np
+import hashlib
+
 import pandas as pd
 import pytest
 
@@ -46,7 +47,7 @@ class TestInvariants:
             assert len(ids) == SAMPLE_BUDGET
 
     def test_ids_exist_in_graph(self, sampler_runs, ml_edge_ctx, name):
-        assert set(sampler_runs[name]) <= set(int(i) for i in ml_edge_ctx.node_ids)
+        assert set(sampler_runs[name]) <= set(ml_edge_ctx.csr.ids.tolist())
 
     def test_no_duplicates(self, sampler_runs, name):
         ids = sampler_runs[name]
@@ -55,6 +56,34 @@ class TestInvariants:
     def test_deterministic_in_seed(self, sampler_runs, ml_edge_ctx, name):
         again = get_sampler(name).sample(ml_edge_ctx, SAMPLE_BUDGET, seed=SAMPLE_SEED)
         assert sorted(again) == sorted(sampler_runs[name])
+
+
+# SHA-1 of each sampler's sorted V_S in ``sampler_runs`` (ML-E1, B = 30,
+# seed 42). A change that alters some sampler's V_S for a seed updates
+# this table and says so.
+PINNED_VS = {
+    "DBS": "44df40fdfdb8c8312d08d6cda3246b3af252a21b",
+    "FFS": "3837857346f06fd9822ceb08f70d854304d2fac2",
+    "FrontierS": "968089228d97096990f48b0f52734695fd35b643",
+    "MHRW": "cccba02b2bd41c5730d0e15b1ddb86fdd5b4cad0",
+    "NBRW": "1fed0bb566a322ec16917fe82ad752097a6b997c",
+    "PHASE": "eff5b3878f50722a3a1c2457d43061a0d02ad433",
+    "PHASE_opt": "63421180b1471d1fd99442e423ccecca3c59d274",
+    "RES": "fc869918e620ef1db18464f23e1706e4f8ec986f",
+    "RNS": "755145e4ee6b579ee27e6927481a937a03d163bd",
+    "RWR": "7a05d1be223d3abe6e267d4993bd37a9e76893bf",
+    "SBS": "c336927da74b2288446d6fe650113b37128ea2d8",
+    "SRW": "d03d9bfff537870d03ee342fb7f577d8005f74aa",
+    "ShortestPathS": "dcac5273232562ab088b364e54576d2186a22557",
+}
+
+
+def test_vs_pinned_per_seed(sampler_runs):
+    got = {
+        name: hashlib.sha1(",".join(map(str, sorted(ids))).encode()).hexdigest()
+        for name, ids in sampler_runs.items()
+    }
+    assert got == PINNED_VS
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +136,7 @@ def test_walker_on_isolated_node_teleports(isolated_ctx, cfg):
 class TestSamplerSpecific:
     def test_dbs_prefers_high_degree(self, sampler_runs, ml_edge_ctx):
         def mean_deg(ids):
-            return np.mean([ml_edge_ctx.degree(i) for i in ids])
+            return ml_edge_ctx.csr.deg[ml_edge_ctx.csr.index(ids)].mean()
 
         assert mean_deg(sampler_runs["DBS"]) > mean_deg(sampler_runs["RNS"])
 

@@ -80,7 +80,7 @@ class TestOneSampleTTest:
         assert r.mean == pytest.approx(5.0)
         assert r.t_stat == pytest.approx(2.8284, abs=1e-3)
         assert r.p_value == pytest.approx(0.0237, abs=2e-3)  # sf(2.828, df=4)
-        assert r.significant()
+        assert r.p_value < 0.05
 
     def test_two_sided_doubles_tail(self):
         xs = [3.0, 4.0, 5.0, 6.0, 7.0]

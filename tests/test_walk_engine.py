@@ -1,4 +1,4 @@
-"""Tests for the Pregel-style walk engine (the distributed substrate)."""
+"""Tests for the batched multi-walker walk engine over the driver-side CSR."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -16,6 +16,8 @@ from repro.core.phase import PHASE, PHASE_OPT
 from repro.datasets.bank import bank
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.walk_engine import (
+    W_H,
+    W_L,
     WalkConfig,
     WalkContext,
     _advancement_probs,
@@ -53,22 +55,20 @@ class TestWalkContext:
     def test_agnostic_context_has_no_flags(self, toy_graph):
         ctx = WalkContext(toy_graph, None)
         assert ctx.n_modifiers == 0
-        assert not ctx.sat1(1)
+        assert _initial_k(ctx, ctx.csr.index([1])).tolist() == [0]
 
     def test_hypothesis_flags(self, toy_graph, toy_hyps):
         ctx = WalkContext(toy_graph, toy_hyps["edge"])  # M_1 = a[]
-        assert ctx.sat1(1) and ctx.sat1(2)
-        assert not ctx.sat1(3)
+        assert ctx.sat[ctx.csr.index([1, 2, 3]), 0].tolist() == [True, True, False]
 
     def test_degrees_exposed(self, toy_graph):
         ctx = WalkContext(toy_graph, None)
-        assert ctx.degree(1) == 2
-        assert ctx.degree(5) == 1
+        assert ctx.csr.deg[ctx.csr.index([1, 5])].tolist() == [2, 1]
 
     def test_unknown_node_id_raises(self, toy_graph):
         ctx = WalkContext(toy_graph, None)
         with pytest.raises(KeyError):
-            ctx.degree(99)
+            ctx.csr.index(99)
 
     def test_csr_rowcount(self, toy_graph):
         ctx = WalkContext(toy_graph, None)
@@ -81,15 +81,13 @@ class TestAdvancementProbs:
 
     def test_always_mode(self, toy_graph):
         ctx = self._ctx(toy_graph)
-        p = _advancement_probs(
-            WalkConfig(advancement="always"), ctx, ctx.csr.index([1, 3])
-        )
+        p = _advancement_probs(WalkConfig(), ctx, ctx.csr.index([1, 3]))
         assert (p == 1.0).all()
 
     def test_degree_mode_proportional(self, toy_graph):
         ctx = self._ctx(toy_graph)
         p = _advancement_probs(
-            WalkConfig(advancement="degree"), ctx, ctx.csr.index([1, 3])
+            WalkConfig(weights="degree"), ctx, ctx.csr.index([1, 3])
         )
         # degrees 2 and 1 -> weights 2/3, 1/3 -> probs min(1, 2*w).
         assert p[0] == pytest.approx(min(1.0, 2 * 2 / 3))
@@ -97,43 +95,40 @@ class TestAdvancementProbs:
 
     def test_phase_mode_uses_sat1(self, toy_graph, toy_hyps):
         ctx = self._ctx(toy_graph, toy_hyps["edge"])
-        p = _advancement_probs(
-            WalkConfig(advancement="phase", w_h=10, w_l=0.1), ctx,
-            ctx.csr.index([1, 3]),
-        )
+        p = _advancement_probs(PHASE, ctx, ctx.csr.index([1, 3]))
         assert p[0] > p[1]  # node 1 satisfies M_1, node 3 does not
 
     def test_unknown_mode(self, toy_graph):
         ctx = self._ctx(toy_graph)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown weights"):
             _advancement_probs(
-                WalkConfig(advancement="bogus"), ctx, ctx.csr.index([1])
+                WalkConfig(weights="bogus"), ctx, ctx.csr.index([1])
             )
 
 
 class TestRunWalk:
     def test_reaches_budget_exactly(self, ml_edge_ctx):
-        res = run_walk(ml_edge_ctx, WalkConfig(m=10), 25, seed=3)
+        res = run_walk(ml_edge_ctx, WalkConfig(), 25, seed=3)
         assert len(res.node_ids) == 25
         assert len(set(res.node_ids)) == 25
 
     def test_sampled_ids_are_graph_nodes(self, ml_edge_ctx):
-        res = run_walk(ml_edge_ctx, WalkConfig(m=10), 25, seed=3)
-        assert set(res.node_ids) <= set(int(i) for i in ml_edge_ctx.node_ids)
+        res = run_walk(ml_edge_ctx, WalkConfig(), 25, seed=3)
+        assert set(res.node_ids) <= set(ml_edge_ctx.csr.ids.tolist())
 
     def test_deterministic_in_seed(self, ml_edge_ctx):
-        a = run_walk(ml_edge_ctx, WalkConfig(m=10), 20, seed=5)
-        b = run_walk(ml_edge_ctx, WalkConfig(m=10), 20, seed=5)
+        a = run_walk(ml_edge_ctx, WalkConfig(), 20, seed=5)
+        b = run_walk(ml_edge_ctx, WalkConfig(), 20, seed=5)
         assert sorted(a.node_ids) == sorted(b.node_ids)
 
     def test_seed_matters(self, ml_edge_ctx):
-        a = run_walk(ml_edge_ctx, WalkConfig(m=10), 20, seed=5)
-        b = run_walk(ml_edge_ctx, WalkConfig(m=10), 20, seed=6)
+        a = run_walk(ml_edge_ctx, WalkConfig(), 20, seed=5)
+        b = run_walk(ml_edge_ctx, WalkConfig(), 20, seed=6)
         assert sorted(a.node_ids) != sorted(b.node_ids)
 
     def test_m_capped_by_budget(self, ml_edge_ctx):
-        # m=50 with budget 10 must not blow past the budget on step one.
-        res = run_walk(ml_edge_ctx, WalkConfig(m=50), 10, seed=1)
+        # m = M = 50 with budget 10 must not blow past the budget on step one.
+        res = run_walk(ml_edge_ctx, WalkConfig(), 10, seed=1)
         assert len(res.node_ids) == 10
 
     def test_phase_transition_biases_sample(self, ml):
@@ -141,13 +136,8 @@ class TestRunWalk:
         # transition must oversample relevant nodes vs a uniform walk.
         hyp = bank("MovieLens")["edge"][0]
         ctx = WalkContext(ml.graph, hyp)
-        unif = run_walk(ctx, WalkConfig(m=10), 60, seed=9)
-        aware = run_walk(
-            ctx,
-            WalkConfig(m=10, advancement="phase", transition="phase"),
-            60,
-            seed=9,
-        )
+        unif = run_walk(ctx, WalkConfig(), 60, seed=9)
+        aware = run_walk(ctx, PHASE, 60, seed=9)
 
         def frac_relevant(ids):
             rows = ml.node_tables["movie"]
@@ -157,29 +147,33 @@ class TestRunWalk:
         assert frac_relevant(aware.node_ids) > frac_relevant(unif.node_ids)
 
     def test_exclude_visited_reduces_supersteps(self, ml_edge_ctx):
-        plain = run_walk(ml_edge_ctx, WalkConfig(m=5), 30, seed=2)
+        plain = run_walk(ml_edge_ctx, WalkConfig(), 30, seed=2)
         opt = run_walk(
-            ml_edge_ctx, WalkConfig(m=5, exclude_visited=True), 30, seed=2
+            ml_edge_ctx, WalkConfig(exclude_visited=True), 30, seed=2
         )
         assert opt.supersteps <= plain.supersteps
 
     def test_neighbor_cap_still_reaches_budget(self, ml_edge_ctx):
-        res = run_walk(ml_edge_ctx, WalkConfig(m=10, neighbor_cap=3), 25, seed=4)
+        res = run_walk(ml_edge_ctx, WalkConfig(neighbor_cap=3), 25, seed=4)
         assert len(res.node_ids) == 25
 
     def test_restart_prob_runs(self, ml_edge_ctx):
-        res = run_walk(ml_edge_ctx, WalkConfig(m=10, restart_prob=0.3), 25, seed=4)
+        res = run_walk(ml_edge_ctx, WalkConfig(restart_prob=0.3), 25, seed=4)
         assert len(res.node_ids) == 25
 
     def test_mh_runs(self, ml_edge_ctx):
         res = run_walk(
-            ml_edge_ctx, WalkConfig(m=10, metropolis_hastings=True), 25, seed=4
+            ml_edge_ctx, WalkConfig(metropolis_hastings=True), 25, seed=4
         )
         assert len(res.node_ids) == 25
 
     def test_bad_transition_mode(self, ml_edge_ctx):
-        with pytest.raises(ValueError):
-            run_walk(ml_edge_ctx, WalkConfig(m=5, transition="bogus"), 10, seed=1)
+        with pytest.raises(ValueError, match="unknown weights"):
+            run_walk(ml_edge_ctx, WalkConfig(weights="bogus"), 10, seed=1)
+
+    def test_phase_weights_require_hypothesis(self, toy_graph):
+        with pytest.raises(ValueError, match="hypothesis"):
+            run_walk(WalkContext(toy_graph, None), PHASE, 3, seed=0)
 
 
 # Star: centre 0 (type c) joined to A leaves with flag on, then B leaves
@@ -226,7 +220,7 @@ class TestTransitionDistribution:
         walker, dst, new_k = _choose(cfg, star_ctx, walker, dst, k, rng)
         assert (np.sort(walker) == np.arange(draws)).all()  # one move each
         on = star_ctx.csr.ids[dst] <= STAR_A
-        p = cfg.w_h * STAR_A / (cfg.w_h * STAR_A + cfg.w_l * STAR_B)
+        p = W_H * STAR_A / (W_H * STAR_A + W_L * STAR_B)
         sigma = np.sqrt(p * (1 - p) / draws)
         assert abs(on.mean() - p) < 3 * sigma
         # Continuing the match advances k; an off-leaf resets it.
