@@ -1,17 +1,17 @@
 """Hypothesis estimators: relevant-instance extraction and aggregation.
 
 Paper §3.1/§3.2.3: "we extract all relevant nodes, edges, or paths from
-S and compute the required aggregated values". This module owns the rules
-for what a relevant instance is. It builds a hypothesis projection once
-per :class:`~repro.graph.walk_engine.WalkContext`, from the columns the
-context collects to the driver, and extracts instances by expanding
-paths hop by hop over it: from the nodes that satisfy M_1, for each path
-step r_i, it gathers the step's CSR slice of the current path ends, whose
-rows already lead into nodes that satisfy M_{i+1}. The same code gives
-the ground truth θ on G and the estimator θ̂ (Eq. 2) on a sample S: S is the
-subgraph of G induced on V_S, so its instances are exactly those that
-start in V_S and stay in V_S at every hop, and the expansion from V_S
-touches only V_S's neighborhoods.
+S and compute the required aggregated values". The hypothesis projection
+that :class:`~repro.graph.walk_engine.WalkContext` builds says which
+nodes and adjacency rows can take each path position; this module
+expands instances hop by hop over it and caches nothing. From the
+context's ``start`` nodes (they satisfy M_1), for each path step r_i, it
+gathers the step's CSR slice of the current path ends, whose rows
+already lead into nodes that satisfy M_{i+1}, and keeps simple paths
+only. The same code gives the ground truth θ on G and the estimator θ̂
+(Eq. 2) on a sample S: S is the subgraph of G induced on V_S, so its
+instances are exactly those that start in V_S and stay in V_S at every
+hop, and the expansion from V_S touches only V_S's neighborhoods.
 """
 from __future__ import annotations
 
@@ -22,50 +22,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.hypothesis import Agg
-from repro.graph.csr import CSR
 from repro.graph.walk_engine import WalkContext
-
-
-@dataclass(frozen=True)
-class _Projection:
-    """What extraction runs over, built once per context.
-
-    - ``start``: the nodes that can open an instance (they satisfy M_1
-      and, when f_P is that node's attribute, f_P is not null);
-    - ``steps``: one CSR per path step i, holding the adjacency rows of
-      type r_i whose ``dst`` can take position i (it satisfies M_{i+1};
-      a null f_P there drops the row). When f_P is that step's edge
-      attribute, the CSR's ``val`` holds it;
-    - ``f``: f_P per node when it is a node attribute.
-    """
-
-    start: np.ndarray
-    steps: list[CSR]
-    f: Optional[np.ndarray]
-
-
-def _projection(ctx: WalkContext) -> _Projection:
-    """The projection of ``ctx.hyp``, cached on ``ctx``."""
-    if ctx.projection is None:
-        f = ctx.hyp.f
-        # ok[i, j]: node i can take path position j.
-        ok = ctx.sat.copy()
-        if ctx.node_f is not None:
-            ok[:, f.position] &= ~np.isnan(ctx.node_f)
-        ids, adj = ctx.csr.ids, ctx.adj
-        src, dst = adj["src"].to_numpy(), adj["dst"].to_numpy()
-        d = np.searchsorted(ids, dst)
-        steps = []
-        for i in range(ctx.hyp.length):
-            keep = adj[f"r{i}"].to_numpy() & ok[d, i + 1]
-            val = None
-            if "f" in adj and f.position == i:
-                val = adj["f"].to_numpy(dtype=float)
-                keep &= ~np.isnan(val)
-                val = val[keep]
-            steps.append(CSR.build(ids, src[keep], dst[keep], val))
-        ctx.projection = _Projection(ok[:, 0], steps, ctx.node_f)
-    return ctx.projection
 
 
 def _instances(
@@ -78,8 +35,7 @@ def _instances(
     node ids; None means all of G.
     """
     hyp = ctx.hyp
-    proj = _projection(ctx)
-    start = proj.start
+    start = ctx.start
     inside = None
     if members is not None:
         inside = np.zeros(ctx.csr.n, dtype=bool)
@@ -88,7 +44,7 @@ def _instances(
     paths = np.flatnonzero(start)[:, None]
     f = None
     mods = hyp.modifiers
-    for i, step in enumerate(proj.steps, start=1):
+    for i, step in enumerate(ctx.steps, start=1):
         owner, pos = step.slots(paths[:, -1])
         nxt = step.nbr[pos]
         keep = np.ones(len(nxt), dtype=bool) if inside is None else inside[nxt]
@@ -104,7 +60,7 @@ def _instances(
         if step.val is not None:
             f = step.val[pos]
     if f is None:
-        f = np.ones(len(paths)) if proj.f is None else proj.f[paths[:, hyp.f.position]]
+        f = np.ones(len(paths)) if ctx.f is None else ctx.f[paths[:, hyp.f.position]]
     return paths, f
 
 

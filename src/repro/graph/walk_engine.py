@@ -4,8 +4,9 @@ The substrate every random-walk sampler (SRW, NBRW, RWR, MHRW, FrontierS,
 PHASE, PHASE_opt) is configured from. :class:`WalkContext` collects the
 symmetric adjacency and the modifier flags to the driver once per (graph,
 hypothesis) pair, as a :class:`~repro.graph.csr.CSR` and a ``sat[n, L]``
-bitmask, together with the hypothesis columns the estimator
-(:mod:`repro.core.estimator`) builds its instance projection from. A superstep is a
+bitmask, and builds from the same two collects the hypothesis projection
+the estimator (:mod:`repro.core.estimator`) expands instances over; the
+collected frames are dropped. A superstep is a
 few numpy operations over the advancing walkers' neighbor slices and
 launches no Spark job. When each superstep was a Spark dataflow of its
 own (broadcast join, ``row_number`` window for the cap, anti-join for the
@@ -71,30 +72,28 @@ class WalkConfig:
 
 class WalkContext:
     """Per-(graph, hypothesis) state shared by all samplers and the
-    estimator.
+    estimator, collected to the driver with two Spark jobs.
 
-    Holds the graph's CSR (:attr:`csr`) and ``sat[i, j]``, whether node
-    ``i`` (a dense index) satisfies modifier M_{j+1}. With a hypothesis it
-    also holds the columns the estimator builds its instance projection
-    from (and caches in :attr:`projection`):
+    - :attr:`csr`: the graph's symmetric adjacency;
+    - :attr:`sat`: ``sat[i, j]``, whether node ``i`` (a dense index)
+      satisfies modifier M_{j+1};
+    - :attr:`start`: the nodes that can open a relevant instance (they
+      satisfy M_1 and, when f_P is that node's attribute, f_P is not
+      null);
+    - :attr:`steps`: one CSR per path step i, holding the adjacency rows
+      of type r_i whose ``dst`` can take position i + 1 (it satisfies
+      M_{i+2}; a null f_P there drops the row). When f_P is that step's
+      edge attribute, the CSR's ``val`` holds it;
+    - :attr:`f`: f_P per node when it is a node attribute, else None.
 
-    - :attr:`node_f`: f_P per node when it is a node attribute;
-    - :attr:`adj`: the adjacency rows (``src``, ``dst``), one bool
-      ``r{i}`` per path step i (``etype == r_i``) and, when f_P is an
-      edge attribute, its value ``f``.
-
-    f_P is ``attrs[attr].cast("double")``; a null becomes NaN. Everything
-    is collected with two Spark jobs and lives on the driver.
+    f_P is ``attrs[attr].cast("double")``; a null becomes NaN.
     """
 
-    def __init__(self, graph: PropertyGraph, hyp: Optional[Hypothesis] = None):
+    def __init__(self, graph: PropertyGraph, hyp: Hypothesis):
         self.graph = graph
         self.hyp = hyp
-        mods = hyp.modifiers if hyp is not None else ()
-        steps = hyp.steps if hyp is not None else ()
-        self.n_modifiers = len(mods)
-
-        f = hyp.f if hyp is not None and hyp.f.attr is not None else None
+        mods = hyp.modifiers
+        f = hyp.f if hyp.f.attr is not None else None
         node_f = f is not None and f.kind == "node"
         edge_f = f is not None and f.kind == "edge"
         f_col = [F.col("attrs").getItem(f.attr).cast("double").alias("f")] if f else []
@@ -105,7 +104,7 @@ class WalkContext:
         ]
         step_cols = [
             (F.col("etype") == F.lit(s.etype)).alias(f"r{i}")
-            for i, s in enumerate(steps)
+            for i, s in enumerate(hyp.steps)
         ]
         nodes = (
             graph.nodes.select("id", *sat_cols, *(f_col if node_f else []))
@@ -115,22 +114,33 @@ class WalkContext:
         adj = graph.adjacency.select(
             "src", "dst", *step_cols, *(f_col if edge_f else [])
         ).toPandas()
-        self.csr = CSR.build(
-            nodes["id"].to_numpy(), adj["src"].to_numpy(), adj["dst"].to_numpy()
-        )
+        ids = nodes["id"].to_numpy()
+        src, dst = adj["src"].to_numpy(), adj["dst"].to_numpy()
+        self.csr = CSR.build(ids, src, dst)
         # A null flag (e.g. a missing attribute) does not satisfy.
         self.sat = nodes[sat_names].to_numpy(dtype=bool, na_value=False)
-        self.node_f = nodes["f"].to_numpy(dtype=float) if node_f else None
-        self.adj = adj
-        self.projection = None
+        self.f = nodes["f"].to_numpy(dtype=float) if node_f else None
+
+        # ok[i, j]: node i can take path position j.
+        ok = self.sat.copy()
+        if node_f:
+            ok[:, f.position] &= ~np.isnan(self.f)
+        self.start = ok[:, 0]
+        d = np.searchsorted(self.csr.ids, dst)
+        self.steps = []
+        for i in range(hyp.length):
+            keep = adj[f"r{i}"].to_numpy() & ok[d, i + 1]
+            val = None
+            if edge_f and f.position == i:
+                val = adj["f"].to_numpy(dtype=float)
+                keep &= ~np.isnan(val)
+                val = val[keep]
+            self.steps.append(CSR.build(ids, src[keep], dst[keep], val))
 
 
 def _initial_k(ctx: WalkContext, nodes: np.ndarray) -> np.ndarray:
     """Matched-prefix length of walkers freshly placed on the dense
-    indices ``nodes``: 1 where the node satisfies M_1, else 0 (always 0
-    without a hypothesis)."""
-    if ctx.n_modifiers == 0:
-        return np.zeros(np.shape(nodes), dtype=np.int64)
+    indices ``nodes``: 1 where the node satisfies M_1, else 0."""
     return ctx.sat[nodes, 0].astype(np.int64)
 
 
@@ -193,7 +203,7 @@ def _choose(
     if cfg.weights != "phase":
         w, new_k = np.ones(len(dst)), np.zeros(len(dst), dtype=np.int64)
     else:
-        L = ctx.n_modifiers
+        L = ctx.sat.shape[1]
         # Fig. 3 generalized: w_h if the candidate continues the matched
         # modifier prefix (or restarts a match at M_1), else w_l. The
         # walker's k realizes the 2nd/higher-order dependence for paths.
@@ -222,9 +232,6 @@ def run_walk(
     are sampled (or ``MAX_SUPERSTEPS`` is hit)."""
     if cfg.weights not in WEIGHTS:
         raise ValueError(f"unknown weights {cfg.weights!r}")
-    if cfg.weights == "phase" and ctx.hyp is None:
-        raise ValueError("phase weights are hypothesis-aware: WalkContext "
-                         "must be built with a hypothesis")
     rng = np.random.default_rng(seed)
     n = ctx.csr.n
     target = min(budget, n)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.stats.special import betainc_reg
 
@@ -71,16 +70,22 @@ def ttest_from_stats(
     *,
     alternative: str = "greater",
 ) -> TTestResult:
-    """One-sample t-test from summary statistics (n, mean, sample std),
-    with a 95% confidence interval.
+    """One-sample t-test of H0: mean == ``c`` from summary statistics
+    (n, mean, sample std), with a 95% confidence interval.
 
     This is what the framework uses: the estimator reduces the relevant
     instances to n/mean/std (:class:`~repro.core.estimator.Estimate`).
+    ``alternative`` is one of ``greater``, ``less``, ``two-sided``
+    (matching the hypothesis operators >, <, and =/<> respectively).
+    Degenerate inputs (n < 2 or zero spread) get p-value 1.0 or 0.0 by
+    direct comparison and a collapsed CI; their ``t_stat`` is ±inf
+    (sign of mean − c) when n ≥ 2 and mean != c, else nan.
     """
     if n < 1:
         raise ValueError("ttest_from_stats requires n >= 1")
     se = std / math.sqrt(n) if n > 1 else 0.0
     if n < 2 or se == 0.0:
+        t = math.copysign(math.inf, mean - c) if n > 1 and mean != c else math.nan
         if alternative == "greater":
             p = 0.0 if mean > c else 1.0
         elif alternative == "less":
@@ -89,7 +94,7 @@ def ttest_from_stats(
             p = 0.0 if mean != c else 1.0
         if n < 2:
             p = 1.0  # a single observation is never significant
-        return TTestResult(n, mean, std if n > 1 else 0.0, math.inf, p, mean, mean)
+        return TTestResult(n, mean, std if n > 1 else 0.0, t, p, mean, mean)
     df = n - 1
     t = (mean - c) / se
     if alternative == "greater":
@@ -102,25 +107,3 @@ def ttest_from_stats(
         raise ValueError(f"unknown alternative: {alternative!r}")
     tq = t_ppf(0.975, df)  # two-sided 95% interval
     return TTestResult(n, mean, std, t, p, mean - tq * se, mean + tq * se)
-
-
-def one_sample_ttest(
-    values: Sequence[float],
-    c: float,
-    *,
-    alternative: str = "greater",
-) -> TTestResult:
-    """One-sample t-test of H0: mean == ``c``.
-
-    ``alternative`` is one of ``greater``, ``less``, ``two-sided``
-    (matching the hypothesis operators >, <, and =/<> respectively).
-    Degenerate inputs (n < 2 or zero variance) return p-value 1.0 or 0.0
-    by direct comparison, with a collapsed CI.
-    """
-    xs = [float(v) for v in values]
-    n = len(xs)
-    if n == 0:
-        raise ValueError("one_sample_ttest requires at least one value")
-    mean = sum(xs) / n
-    var = sum((x - mean) ** 2 for x in xs) / (n - 1) if n > 1 else 0.0
-    return ttest_from_stats(n, mean, math.sqrt(var), c, alternative=alternative)

@@ -4,8 +4,15 @@ import pandas as pd
 import pytest
 
 from repro.graph.bfs import backtrack, bfs_parents, expand_frontier
+from repro.graph.csr import CSR
 from repro.graph.property_graph import PropertyGraph
-from repro.graph.walk_engine import WalkContext
+
+
+def _csr(graph):
+    """The CSR of ``graph``'s symmetric adjacency."""
+    ids = np.sort(graph.nodes.select("id").toPandas()["id"].to_numpy())
+    adj = graph.adjacency.select("src", "dst").toPandas()
+    return CSR.build(ids, adj["src"].to_numpy(), adj["dst"].to_numpy())
 
 
 @pytest.fixture(scope="module")
@@ -14,13 +21,13 @@ def path_csr(spark):
     nodes = pd.DataFrame({"id": [1, 2, 3, 4, 5, 6]})
     edges = pd.DataFrame({"src": [1, 2, 3, 4, 5], "dst": [2, 3, 4, 5, 6]})
     g = PropertyGraph.from_tables(spark, {"t": nodes}, {"e": edges})
-    yield WalkContext(g).csr
+    yield _csr(g)
     g.unpersist()
 
 
 @pytest.fixture(scope="module")
 def toy_csr(toy_graph):
-    return WalkContext(toy_graph).csr
+    return _csr(toy_graph)
 
 
 def _expand(csr, frontier, visited, caps, seed=0):
@@ -122,7 +129,7 @@ def _reference_parents(adj_rows, root, max_depth):
 
 
 def test_bfs_parents_matches_reference(dblp):
-    csr = WalkContext(dblp.graph).csr
+    csr = _csr(dblp.graph)
     adj = dblp.graph.adjacency.select("src", "dst").toPandas()
     rows = list(zip(adj["src"].tolist(), adj["dst"].tolist()))
     roots = [int(x) for x in np.random.default_rng(3).choice(csr.ids, 8)]

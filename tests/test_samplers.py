@@ -145,11 +145,6 @@ class TestSamplerSpecific:
         endpoints = {r["src"] for r in edges} | {r["dst"] for r in edges}
         assert set(sampler_runs["RES"]) <= endpoints
 
-    def test_phase_requires_hypothesis(self, toy_graph):
-        ctx = WalkContext(toy_graph, None)
-        with pytest.raises(ValueError):
-            get_sampler("PHASE_opt").sample(ctx, 3, seed=0)
-
     def test_phase_opt_oversamples_relevant(self, sampler_runs, ml, ml_edge_ctx):
         # Hypothesis-awareness (ML-E1: Comedy movies): PHASE_opt's sample
         # holds a larger relevant fraction than the uniform node sample.

@@ -4,17 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from repro.stats.ttest import (
-    one_sample_ttest,
-    t_cdf,
-    t_ppf,
-    t_sf,
-    ttest_from_stats,
-)
+from repro.stats.ttest import t_cdf, t_ppf, t_sf, ttest_from_stats
 
 
 def _norm_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def _ttest_of(xs, c, *, alternative="greater"):
+    """``ttest_from_stats`` on the n, mean and ddof-1 std of ``xs``."""
+    xs = np.asarray(xs, dtype=float)
+    n = len(xs)
+    mean = float(xs.mean()) if n else 0.0
+    std = float(xs.std(ddof=1)) if n > 1 else 0.0
+    return ttest_from_stats(n, mean, std, c, alternative=alternative)
 
 
 class TestTCdf:
@@ -76,7 +79,7 @@ class TestOneSampleTTest:
         # Hand-checked: xs mean=5.0, std=sqrt(2.5), n=5 vs c=3 ->
         # t = 2 / (sqrt(2.5)/sqrt(5)) = 2.8284.
         xs = [3.0, 4.0, 5.0, 6.0, 7.0]
-        r = one_sample_ttest(xs, 3.0, alternative="greater")
+        r = _ttest_of(xs, 3.0, alternative="greater")
         assert r.mean == pytest.approx(5.0)
         assert r.t_stat == pytest.approx(2.8284, abs=1e-3)
         assert r.p_value == pytest.approx(0.0237, abs=2e-3)  # sf(2.828, df=4)
@@ -84,53 +87,57 @@ class TestOneSampleTTest:
 
     def test_two_sided_doubles_tail(self):
         xs = [3.0, 4.0, 5.0, 6.0, 7.0]
-        g = one_sample_ttest(xs, 3.0, alternative="greater")
-        two = one_sample_ttest(xs, 3.0, alternative="two-sided")
+        g = _ttest_of(xs, 3.0, alternative="greater")
+        two = _ttest_of(xs, 3.0, alternative="two-sided")
         assert two.p_value == pytest.approx(2 * g.p_value, rel=1e-9)
 
     def test_less_alternative(self):
         xs = [1.0, 2.0, 3.0]
-        r = one_sample_ttest(xs, 10.0, alternative="less")
+        r = _ttest_of(xs, 10.0, alternative="less")
         assert r.p_value < 0.05
 
     def test_ci_contains_mean(self):
         rng = np.random.default_rng(0)
         xs = rng.normal(10, 2, 50).tolist()
-        r = one_sample_ttest(xs, 9.0)
+        r = _ttest_of(xs, 9.0)
         assert r.ci_low < r.mean < r.ci_high
 
     def test_ci_width_shrinks_with_n(self):
         rng = np.random.default_rng(1)
-        small = one_sample_ttest(rng.normal(0, 1, 10).tolist(), 0)
-        big = one_sample_ttest(rng.normal(0, 1, 1000).tolist(), 0)
+        small = _ttest_of(rng.normal(0, 1, 10).tolist(), 0)
+        big = _ttest_of(rng.normal(0, 1, 1000).tolist(), 0)
         assert (big.ci_high - big.ci_low) < (small.ci_high - small.ci_low)
 
     def test_single_value_never_significant(self):
-        r = one_sample_ttest([5.0], 1.0)
+        r = _ttest_of([5.0], 1.0)
         assert r.p_value == 1.0
+        assert math.isnan(r.t_stat)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            one_sample_ttest([], 0.0)
+            _ttest_of([], 0.0)
 
     def test_constant_values_degenerate(self):
-        r = one_sample_ttest([4.0, 4.0, 4.0], 1.0, alternative="greater")
+        r = _ttest_of([4.0, 4.0, 4.0], 1.0, alternative="greater")
         assert r.p_value == 0.0
-        r2 = one_sample_ttest([4.0, 4.0, 4.0], 9.0, alternative="greater")
+        assert r.t_stat == math.inf
+        r2 = _ttest_of([4.0, 4.0, 4.0], 9.0, alternative="greater")
         assert r2.p_value == 1.0
+        assert r2.t_stat == -math.inf  # the mean is below c
+        assert math.isnan(_ttest_of([4.0, 4.0, 4.0], 4.0).t_stat)
 
     def test_unknown_alternative(self):
         with pytest.raises(ValueError):
-            one_sample_ttest([1.0, 2.0], 0.0, alternative="sideways")
+            _ttest_of([1.0, 2.0], 0.0, alternative="sideways")
 
 
 class TestFromStats:
     def test_matches_value_version(self):
-        xs = [3.0, 4.0, 5.0, 6.0, 7.0]
-        a = one_sample_ttest(xs, 3.0)
-        b = ttest_from_stats(5, 5.0, math.sqrt(2.5), 3.0)
-        assert a.p_value == pytest.approx(b.p_value, rel=1e-12)
-        assert a.ci_low == pytest.approx(b.ci_low, rel=1e-9)
+        # Hand-computed: n = 5, mean 5, std sqrt(2.5) against c = 3.
+        r = ttest_from_stats(5, 5.0, math.sqrt(2.5), 3.0)
+        assert r.t_stat == pytest.approx(2.828427, abs=1e-6)
+        assert r.p_value == pytest.approx(0.023710, abs=1e-6)
+        assert (r.ci_low, r.ci_high) == pytest.approx((3.036757, 6.963243), abs=1e-6)
 
     def test_rejects_zero_n(self):
         with pytest.raises(ValueError):

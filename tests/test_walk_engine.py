@@ -51,41 +51,36 @@ class TestUrand:
         assert a.collect() != b.collect()
 
 
-class TestWalkContext:
-    def test_agnostic_context_has_no_flags(self, toy_graph):
-        ctx = WalkContext(toy_graph, None)
-        assert ctx.n_modifiers == 0
-        assert _initial_k(ctx, ctx.csr.index([1])).tolist() == [0]
+@pytest.fixture(scope="module")
+def toy_edge_ctx(toy_graph, toy_hyps):
+    return WalkContext(toy_graph, toy_hyps["edge"])  # M_1 = a[]
 
-    def test_hypothesis_flags(self, toy_graph, toy_hyps):
-        ctx = WalkContext(toy_graph, toy_hyps["edge"])  # M_1 = a[]
+
+class TestWalkContext:
+    def test_hypothesis_flags(self, toy_edge_ctx):
+        ctx = toy_edge_ctx
         assert ctx.sat[ctx.csr.index([1, 2, 3]), 0].tolist() == [True, True, False]
 
-    def test_degrees_exposed(self, toy_graph):
-        ctx = WalkContext(toy_graph, None)
+    def test_degrees_exposed(self, toy_edge_ctx):
+        ctx = toy_edge_ctx
         assert ctx.csr.deg[ctx.csr.index([1, 5])].tolist() == [2, 1]
 
-    def test_unknown_node_id_raises(self, toy_graph):
-        ctx = WalkContext(toy_graph, None)
+    def test_unknown_node_id_raises(self, toy_edge_ctx):
         with pytest.raises(KeyError):
-            ctx.csr.index(99)
+            toy_edge_ctx.csr.index(99)
 
-    def test_csr_rowcount(self, toy_graph):
-        ctx = WalkContext(toy_graph, None)
-        assert len(ctx.csr.nbr) == 8  # both directions of 4 edges
+    def test_csr_rowcount(self, toy_edge_ctx):
+        assert len(toy_edge_ctx.csr.nbr) == 8  # both directions of 4 edges
 
 
 class TestAdvancementProbs:
-    def _ctx(self, toy_graph, hyp=None):
-        return WalkContext(toy_graph, hyp)
-
-    def test_always_mode(self, toy_graph):
-        ctx = self._ctx(toy_graph)
+    def test_always_mode(self, toy_edge_ctx):
+        ctx = toy_edge_ctx
         p = _advancement_probs(WalkConfig(), ctx, ctx.csr.index([1, 3]))
         assert (p == 1.0).all()
 
-    def test_degree_mode_proportional(self, toy_graph):
-        ctx = self._ctx(toy_graph)
+    def test_degree_mode_proportional(self, toy_edge_ctx):
+        ctx = toy_edge_ctx
         p = _advancement_probs(
             WalkConfig(weights="degree"), ctx, ctx.csr.index([1, 3])
         )
@@ -93,13 +88,13 @@ class TestAdvancementProbs:
         assert p[0] == pytest.approx(min(1.0, 2 * 2 / 3))
         assert p[1] == pytest.approx(min(1.0, 2 * 1 / 3))
 
-    def test_phase_mode_uses_sat1(self, toy_graph, toy_hyps):
-        ctx = self._ctx(toy_graph, toy_hyps["edge"])
+    def test_phase_mode_uses_sat1(self, toy_edge_ctx):
+        ctx = toy_edge_ctx
         p = _advancement_probs(PHASE, ctx, ctx.csr.index([1, 3]))
         assert p[0] > p[1]  # node 1 satisfies M_1, node 3 does not
 
-    def test_unknown_mode(self, toy_graph):
-        ctx = self._ctx(toy_graph)
+    def test_unknown_mode(self, toy_edge_ctx):
+        ctx = toy_edge_ctx
         with pytest.raises(ValueError, match="unknown weights"):
             _advancement_probs(
                 WalkConfig(weights="bogus"), ctx, ctx.csr.index([1])
@@ -170,10 +165,6 @@ class TestRunWalk:
     def test_bad_transition_mode(self, ml_edge_ctx):
         with pytest.raises(ValueError, match="unknown weights"):
             run_walk(ml_edge_ctx, WalkConfig(weights="bogus"), 10, seed=1)
-
-    def test_phase_weights_require_hypothesis(self, toy_graph):
-        with pytest.raises(ValueError, match="hypothesis"):
-            run_walk(WalkContext(toy_graph, None), PHASE, 3, seed=0)
 
 
 # Star: centre 0 (type c) joined to A leaves with flag on, then B leaves
