@@ -80,18 +80,16 @@ def table2(
     n_nodes = ds.graph.num_nodes()
     budget = max(20, int(proportion * n_nodes))
     hyps = bank("DBLP")
-    rows = {}
-    for sampler in ("PHASE", "PHASE_opt"):
-        rec = {}
-        for htype in ("node", "edge", "path"):
-            exp = Experiment(spark, ds.graph, hyps[htype][0])
+    rows = {"PHASE": {}, "PHASE_opt": {}}
+    for htype in ("node", "edge", "path"):
+        exp = Experiment(spark, ds.graph, hyps[htype][0])
+        for sampler, rec in rows.items():
             times = [
                 exp.run_once(sampler, budget, seed=seed + r).total_seconds
                 for r in range(runs)
             ]
             rec[htype.capitalize()] = sum(times) / runs
-            exp.close()
-        rows[sampler] = rec
+        exp.close()
     ds.graph.unpersist()
     out = pd.DataFrame(rows).T.reset_index(names="Sampler")
     out["Budget"] = budget

@@ -47,8 +47,6 @@ class PropertyGraph:
         spark: SparkSession,
         node_tables: Mapping[str, pd.DataFrame],
         edge_tables: Mapping[str, pd.DataFrame],
-        *,
-        cache: bool = True,
     ) -> "PropertyGraph":
         """Build from flat tables.
 
@@ -57,46 +55,11 @@ class PropertyGraph:
         ``src``/``dst`` columns; every other column becomes an edge
         attribute. Node ids must be globally unique across types.
         """
-        spark_nodes = []
-        for ntype, pdf in node_tables.items():
-            attr_cols = [c for c in pdf.columns if c != "id"]
-            df = spark.createDataFrame(pdf)
-            df = df.select(
-                F.col("id").cast("bigint").alias("id"),
-                F.lit(ntype).alias("ntype"),
-                F.map_from_arrays(
-                    F.array(*[F.lit(c) for c in attr_cols]),
-                    F.array(*[F.col(c).cast("string") for c in attr_cols]),
-                ).alias("attrs")
-                if attr_cols
-                else F.create_map().cast("map<string,string>").alias("attrs"),
-            )
-            spark_nodes.append(df)
-        spark_edges = []
-        for etype, pdf in edge_tables.items():
-            attr_cols = [c for c in pdf.columns if c not in ("src", "dst")]
-            df = spark.createDataFrame(pdf)
-            df = df.select(
-                F.col("src").cast("bigint").alias("src"),
-                F.col("dst").cast("bigint").alias("dst"),
-                F.lit(etype).alias("etype"),
-                F.map_from_arrays(
-                    F.array(*[F.lit(c) for c in attr_cols]),
-                    F.array(*[F.col(c).cast("string") for c in attr_cols]),
-                ).alias("attrs")
-                if attr_cols
-                else F.create_map().cast("map<string,string>").alias("attrs"),
-            )
-            spark_edges.append(df)
-        if not spark_nodes or not spark_edges:
+        if not node_tables or not edge_tables:
             raise ValueError("need at least one node table and one edge table")
-        nodes = spark_nodes[0]
-        for df in spark_nodes[1:]:
-            nodes = nodes.unionByName(df)
-        edges = spark_edges[0]
-        for df in spark_edges[1:]:
-            edges = edges.unionByName(df)
-        return PropertyGraph(nodes, edges, cache=cache)
+        nodes = _union_typed(spark, node_tables, ("id",), "ntype")
+        edges = _union_typed(spark, edge_tables, ("src", "dst"), "etype")
+        return PropertyGraph(nodes, edges)
 
     # ------------------------------------------------------------------
     # Views
@@ -178,3 +141,31 @@ class PropertyGraph:
         for name in ("adjacency", "degrees"):
             if name in self.__dict__:
                 self.__dict__[name].unpersist()
+
+
+def _union_typed(
+    spark: SparkSession,
+    tables: Mapping[str, pd.DataFrame],
+    key_cols: tuple[str, ...],
+    type_col: str,
+) -> DataFrame:
+    """One frame of ``key_cols`` (as BIGINT), ``type_col`` (the table's
+    key in ``tables``) and ``attrs``: every other column as a string map."""
+    out = None
+    for typ, pdf in tables.items():
+        attr_cols = [c for c in pdf.columns if c not in key_cols]
+        attrs = (
+            F.map_from_arrays(
+                F.array(*[F.lit(c) for c in attr_cols]),
+                F.array(*[F.col(c).cast("string") for c in attr_cols]),
+            )
+            if attr_cols
+            else F.create_map().cast("map<string,string>")
+        )
+        df = spark.createDataFrame(pdf).select(
+            *[F.col(c).cast("bigint").alias(c) for c in key_cols],
+            F.lit(typ).alias(type_col),
+            attrs.alias("attrs"),
+        )
+        out = df if out is None else out.unionByName(df)
+    return out

@@ -39,7 +39,7 @@ _M = 1_000_000_007
 # Supersteps after which a walk returns what it has, short of the budget
 # if need be. Teleports keep a walk moving but not always onto new nodes:
 # at B = |V|/2 on DBLP- and Yelp-lite, MHRW, FrontierS and PHASE stop
-# here 4-43% short of B (ROADMAP item 5).
+# here 4-43% short of B (ROADMAP item 2).
 MAX_SUPERSTEPS = 400
 
 # Paper §4.1: m = 50 dependent walkers, L_w and transition weights
@@ -68,6 +68,10 @@ class WalkConfig:
     neighbor_cap: Optional[int] = None  # PHASE_opt Optim 1: n candidates
     restart_prob: float = 0.0  # RWR: jump back to the walker's seed
     metropolis_hastings: bool = False  # MHRW degree-ratio accept/reject
+
+    def __post_init__(self) -> None:
+        if self.weights not in WEIGHTS:
+            raise ValueError(f"unknown weights {self.weights!r}")
 
 
 class WalkContext:
@@ -152,10 +156,8 @@ def _advancement_probs(cfg: WalkConfig, ctx: WalkContext, cur: np.ndarray) -> np
         return np.ones(m)
     if cfg.weights == "degree":
         w = np.maximum(ctx.csr.deg[cur], 1).astype(float)
-    elif cfg.weights == "phase":
+    else:  # phase
         w = np.where(ctx.sat[cur, 0], W_H, W_L)
-    else:
-        raise ValueError(f"unknown weights {cfg.weights!r}")
     return np.minimum(1.0, m * w / w.sum())
 
 
@@ -230,8 +232,6 @@ def run_walk(
 ) -> WalkResult:
     """Run the configured walk until min(``budget``, |V|) distinct nodes
     are sampled (or ``MAX_SUPERSTEPS`` is hit)."""
-    if cfg.weights not in WEIGHTS:
-        raise ValueError(f"unknown weights {cfg.weights!r}")
     rng = np.random.default_rng(seed)
     n = ctx.csr.n
     target = min(budget, n)

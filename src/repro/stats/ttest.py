@@ -1,16 +1,76 @@
 """One-sample Student t-test with p-value and confidence interval.
 
-Built on :mod:`repro.stats.special` (no scipy in the container). Used by
-the hypothesis-testing step of the framework (paper §3.1: "the
+Used by the hypothesis-testing step of the framework (paper §3.1: "the
 acceptance or rejection result, p-value, and confidence interval are
-returned").
+returned"). scipy is not a dependency, so the Student-t distribution is
+built here on the regularized incomplete beta function ``betainc_reg``
+(a continued fraction) and ``math.lgamma``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from repro.stats.special import betainc_reg
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction for the incomplete beta (modified Lentz)."""
+    MAXIT, EPS, FPMIN = 300, 3e-15, 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < FPMIN:
+        d = FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, MAXIT + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < FPMIN:
+            d = FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < FPMIN:
+            c = FPMIN
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < FPMIN:
+            d = FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < FPMIN:
+            c = FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < EPS:
+            return h
+    raise RuntimeError(f"betacf did not converge for a={a}, b={b}, x={x}")
+
+
+def betainc_reg(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b), a, b > 0, x in [0, 1]
+    (Numerical Recipes ``betai``)."""
+    if a <= 0 or b <= 0:
+        raise ValueError(f"betainc_reg requires a, b > 0, got a={a}, b={b}")
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"betainc_reg requires 0 <= x <= 1, got {x}")
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    front = math.exp(ln_front)
+    # Symmetry transform: use the continued fraction where it converges fast.
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
 def t_cdf(t: float, df: float) -> float:
@@ -20,33 +80,50 @@ def t_cdf(t: float, df: float) -> float:
     if t == 0.0:
         return 0.5
     # P(T <= t) via the incomplete beta: for t > 0,
-    #   sf(t) = I_{df/(df+t^2)}(df/2, 1/2) / 2.
-    x = df / (df + t * t)
-    p_tail = 0.5 * betainc_reg(df / 2.0, 0.5, x)
+    #   sf(t) = I_x(df/2, 1/2) / 2 = (1 - I_{1-x}(1/2, df/2)) / 2,
+    # with x = df/(df+t^2). Near t = 0, x rounds toward 1 and 1 - x loses
+    # its digits, so take 1 - x = t^2/(df+t^2) directly there. The switch
+    # is betainc_reg's own, so each side runs its direct continued fraction.
+    a, tt = df / 2.0, t * t
+    x = df / (df + tt)
+    if x < (a + 1.0) / (a + 2.5):
+        p_tail = 0.5 * betainc_reg(a, 0.5, x)
+    else:
+        p_tail = 0.5 - 0.5 * betainc_reg(0.5, a, tt / (df + tt))
     return 1.0 - p_tail if t > 0 else p_tail
 
 
 def t_sf(t: float, df: float) -> float:
-    """Survival function P(T > t)."""
-    return 1.0 - t_cdf(t, df)
+    """Survival function P(T > t), by symmetry so that a small upper tail
+    keeps its digits instead of rounding to 0 in 1 - cdf."""
+    return t_cdf(-t, df)
 
 
 def t_ppf(q: float, df: float) -> float:
-    """Quantile (inverse CDF) by bisection; q in (0, 1)."""
+    """Quantile (inverse CDF) for q in (0, 1), by Newton's method on
+    :func:`t_cdf` from t = 0.
+
+    On the root's side of 0 the CDF is concave (convex when q < 0.5), so
+    every Newton step lands between the last iterate and the root: the
+    iterates move monotonically toward it without a bracket.
+    """
     if not 0.0 < q < 1.0:
         raise ValueError(f"t_ppf requires 0 < q < 1, got {q}")
-    if q == 0.5:
-        return 0.0
-    lo, hi = -1e6, 1e6
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if t_cdf(mid, df) < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    # log of the density's normalising constant, Gamma((df+1)/2) /
+    # (Gamma(df/2) sqrt(df pi)).
+    ln_norm = (
+        math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0) - 0.5 * math.log(df * math.pi)
+    )
+    t = 0.0
+    for _ in range(100):
+        pdf = math.exp(ln_norm - (df + 1.0) / 2.0 * math.log1p(t * t / df))
+        step = (t_cdf(t, df) - q) / pdf
+        t -= step
+        # Newton's error after a step is O(step^2): a 1e-8 step leaves t
+        # good to ~1e-15, and stays above t_cdf's rounding noise at large df.
+        if abs(step) <= 1e-8 * max(1.0, abs(t)):
+            return t
+    raise RuntimeError(f"t_ppf did not converge for q={q}, df={df}")
 
 
 @dataclass(frozen=True)

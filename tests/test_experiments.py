@@ -113,6 +113,24 @@ class TestTable1:
         assert by.loc["MovieLens", "density"] > by.loc["DBLP", "density"]
 
 
+class TestTable2:
+    def test_one_context_per_hypothesis(self, spark, monkeypatch):
+        from repro.core import framework
+
+        builds = []
+
+        class CountingContext(framework.WalkContext):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(framework, "WalkContext", CountingContext)
+        df = experiments.table2(spark, sf=0.1, runs=1)
+        assert len(builds) == 3  # node, edge and path; PHASE and PHASE_opt share each
+        assert list(df["Sampler"]) == ["PHASE", "PHASE_opt"]
+        assert list(df.columns) == ["Sampler", "Node", "Edge", "Path", "Budget"]
+
+
 class TestSamplerColumns:
     def test_all_matches_paper_table_columns(self):
         assert set(ALL) == {

@@ -6,35 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.special import betainc_reg, log_gamma
-
-
-class TestLogGamma:
-    @pytest.mark.parametrize("x", [0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 42.5, 171.0, 0.1])
-    def test_matches_math_lgamma(self, x):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12)
-
-    def test_gamma_of_one_is_zero(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_gamma_of_half_is_sqrt_pi(self):
-        assert math.exp(log_gamma(0.5)) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-    def test_factorial_recurrence(self):
-        for n in range(1, 15):
-            assert math.exp(log_gamma(n + 1)) == pytest.approx(
-                math.factorial(n), rel=1e-10
-            )
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_rejects_nonpositive(self, x):
-        with pytest.raises(ValueError):
-            log_gamma(x)
-
-    @given(st.floats(min_value=0.05, max_value=50.0))
-    @settings(max_examples=50, deadline=None)
-    def test_property_matches_lgamma(self, x):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-9, abs=1e-9)
+from repro.stats.ttest import betainc_reg
 
 
 class TestBetaIncReg:

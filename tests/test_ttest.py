@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.stats import ttest as ttest_module
 from repro.stats.ttest import t_cdf, t_ppf, t_sf, ttest_from_stats
 
 
@@ -51,6 +54,17 @@ class TestTCdf:
         # t_{0.975, 10} = 2.228139 (standard tables).
         assert t_sf(2.228139, 10) == pytest.approx(0.025, abs=1e-4)
 
+    def test_sf_keeps_small_upper_tail(self):
+        # P(T > 10) at df = 100 is 4.95084e-17; 1 - cdf would round it to 0.
+        assert t_sf(10, 100) == pytest.approx(4.95084e-17, rel=1e-6, abs=0)
+
+    def test_centre_keeps_its_digits(self):
+        # Near 0 the CDF is 1/2 + f(0) t; at large df, 1 - df/(df + t^2)
+        # rounds away most of t^2/df.
+        df, t = 100000, 1e-6
+        f0 = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) / math.sqrt(df * math.pi)
+        assert t_cdf(t, df) - 0.5 == pytest.approx(f0 * t, rel=1e-6)
+
     def test_rejects_bad_df(self):
         with pytest.raises(ValueError):
             t_cdf(1.0, 0)
@@ -66,6 +80,27 @@ class TestTPpf:
         assert t_ppf(0.975, 10) == pytest.approx(2.228139, abs=1e-4)
         assert t_ppf(0.95, 5) == pytest.approx(2.015048, abs=1e-4)
         assert t_ppf(0.5, 3) == pytest.approx(0.0, abs=1e-9)
+        assert t_ppf(0.975, 1) == pytest.approx(12.706205, abs=1e-6)
+        assert t_ppf(0.975, 30) == pytest.approx(2.042272, abs=1e-6)
+        assert t_ppf(0.975, 1000) == pytest.approx(1.962339, abs=1e-6)
+
+    @given(
+        st.floats(min_value=0.001, max_value=0.999),
+        st.floats(min_value=1.0, max_value=1e5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_inverts_cdf_in_few_steps(self, q, df):
+        calls = []
+
+        def counting_cdf(t, d):
+            calls.append(t)
+            return t_cdf(t, d)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ttest_module, "t_cdf", counting_cdf)
+            t = t_ppf(q, df)
+        assert abs(t_cdf(t, df) - q) <= 1e-9
+        assert len(calls) <= 15
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
@@ -146,6 +181,10 @@ class TestFromStats:
     def test_p_decreases_with_n(self):
         ps = [ttest_from_stats(n, 1.0, 2.0, 0.0).p_value for n in (5, 50, 500)]
         assert ps[0] > ps[1] > ps[2]
+
+    def test_tiny_p_value_stays_positive(self):
+        # t = 14.1 at df = 199: p is about 1e-32, far below 1 - cdf's reach.
+        assert ttest_from_stats(200, 5.0, 1.0, 4.0).p_value > 0.0
 
 
 class TestWilsonInterval:
