@@ -14,8 +14,7 @@ from repro.experiments import table1  # noqa: E402
 
 def main() -> None:
     spark = get_spark("table1")
-    sf = env_float("REPRO_SF", 1.0)
-    df = table1(spark, sfs={n: sf for n in ("MovieLens", "DBLP", "Yelp")})
+    df = table1(spark, sf=env_float("REPRO_SF", 1.0))
     print(df.to_string(index=False))
     os.makedirs("results", exist_ok=True)
     df.to_csv("results/table1.csv", index=False)

@@ -22,7 +22,6 @@ from repro.samplers import ALL  # noqa: E402
 
 def main() -> None:
     spark = get_spark("table3-table4")
-    sf = env_float("REPRO_SF", 1.0)
     datasets = os.environ.get("REPRO_DATASETS", "MovieLens,DBLP,Yelp").split(",")
     samplers = os.environ.get("REPRO_SAMPLERS", ",".join(ALL)).split(",")
     grid = accuracy_time_grid(
@@ -30,7 +29,7 @@ def main() -> None:
         datasets=datasets,
         samplers=samplers,
         runs=env_int("REPRO_RUNS", 30),
-        sfs={n: sf for n in datasets},
+        sf=env_float("REPRO_SF", 1.0),
     )
     os.makedirs("results", exist_ok=True)
     grid.to_csv("results/grid.csv", index=False)

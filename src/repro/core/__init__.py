@@ -1,10 +1,1 @@
 """The paper's core: hypotheses, estimators, testing, PHASE samplers."""
-from repro.core.hypothesis import (  # noqa: F401
-    Agg,
-    AttrRef,
-    Hypothesis,
-    Modifier,
-    Op,
-    PathStep,
-    Predicate,
-)

@@ -18,7 +18,7 @@ BFS samplers and the test launch none.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from pyspark.sql import SparkSession
@@ -60,8 +60,8 @@ class Experiment:
     spark: SparkSession
     graph: PropertyGraph
     hyp: Hypothesis
-    ground_truth: Optional[TestOutcome] = None
-    _ctx: Optional[WalkContext] = None
+    ground_truth: Optional[TestOutcome] = field(init=False, default=None)
+    _ctx: Optional[WalkContext] = field(init=False, default=None)
 
     def context(self) -> WalkContext:
         if self._ctx is None:

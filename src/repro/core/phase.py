@@ -12,16 +12,17 @@ two weight functions:
 
 The engine's ``weights="phase"`` applies both.
 
-PHASE_opt (Algorithm 2) adds the two optimizations, both applied to the
-candidate set *before* the weighted choice:
+PHASE_opt (Algorithm 2, the engine's ``algorithm2``) adds two
+optimizations, both applied to the candidate set *before* the weighted
+choice:
 
-1. Optim 1 — examine only min(|N'|, n) uniformly sampled neighbors
-   (``neighbor_cap``), making per-step cost O(1) instead of O(avg deg).
-2. Optim 2 — non-backtracking over the whole sample: N' = N[v] - V_S
-   (``exclude_visited``).
+1. Optim 2 — non-backtracking over the whole sample: N' = N[v] - V_S.
+2. Optim 1 — examine only min(|N'|, n) uniformly sampled neighbors of
+   N'. This bounds the weighted choice, not the step: the step still
+   gathers and filters all of N[v], so it costs O(deg(v)).
 
-Paper defaults (§4.1): m=50, w_h=10, w_l=0.1 are the engine's constants
-``M``, ``W_H`` and ``W_L``, and n=30.
+Paper defaults (§4.1): m=50, w_h=10, w_l=0.1 and n=30 are the engine's
+constants ``M``, ``W_H``, ``W_L`` and ``N``.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from repro.graph.walk_engine import WalkConfig, WalkContext, run_walk
 from repro.samplers.base import register
 
 PHASE = WalkConfig(weights="phase")
-PHASE_OPT = replace(PHASE, neighbor_cap=30, exclude_visited=True)
+PHASE_OPT = replace(PHASE, algorithm2=True)
 
 
 def _register_phase(name: str, cfg: WalkConfig) -> None:

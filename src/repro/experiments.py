@@ -5,8 +5,8 @@ Each function reproduces one table of the paper at a configurable scale
 Table 2 PHASE vs PHASE_opt timing, Tables 3/4 accuracy and time of the
 12 samplers over the 3 datasets × 3 hypothesis types grid.
 
-Scale knobs (env-overridable in the jobs): ``sf`` per dataset, sampling
-proportions per (dataset, type) mirroring the paper's column three —
+Scale knobs (env-overridable in the jobs): one ``sf`` for every dataset,
+sampling proportions per (dataset, type) mirroring the paper's column three —
 scaled up because our graphs are ~100× smaller (a 0.2% sample of a 7k-
 node graph would hold 14 nodes), and ``runs`` (paper: 30).
 
@@ -16,7 +16,7 @@ against; the accuracy runners skip it with a logged line.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional
+from typing import Iterable
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -42,21 +42,18 @@ PROPORTIONS = {
     ("Yelp", "path"): 0.05,
 }
 
-DEFAULT_SF = {"MovieLens": 1.0, "DBLP": 1.0, "Yelp": 1.0}
-
-
-def load_dataset(spark: SparkSession, name: str, sf: Optional[float] = None) -> Dataset:
-    return GENERATORS[name](spark, sf=sf if sf is not None else DEFAULT_SF[name])
+def load_dataset(spark: SparkSession, name: str, sf: float = 1.0) -> Dataset:
+    return GENERATORS[name](spark, sf=sf)
 
 
 # ---------------------------------------------------------------------
 # Table 1
 # ---------------------------------------------------------------------
-def table1(spark: SparkSession, *, sfs: Optional[dict] = None) -> pd.DataFrame:
+def table1(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
     """Dataset statistics (paper Table 1)."""
     rows = []
     for name in GENERATORS:
-        ds = load_dataset(spark, name, (sfs or {}).get(name))
+        ds = load_dataset(spark, name, sf)
         st = ds.graph.stats()
         rows.append({"Dataset": name, **st})
         ds.graph.unpersist()
@@ -105,7 +102,7 @@ def accuracy_time_grid(
     datasets: Iterable[str] = ("MovieLens", "DBLP", "Yelp"),
     samplers: Iterable[str] = tuple(ALL_SAMPLERS),
     runs: int = 3,
-    sfs: Optional[dict] = None,
+    sf: float = 1.0,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Run the full sampler × dataset × hypothesis-type grid.
@@ -117,7 +114,7 @@ def accuracy_time_grid(
     """
     rows = []
     for dname in datasets:
-        ds = load_dataset(spark, dname, (sfs or {}).get(dname))
+        ds = load_dataset(spark, dname, sf)
         n_nodes = ds.graph.num_nodes()
         hyps = bank(dname)
         for htype in ("node", "edge", "path"):

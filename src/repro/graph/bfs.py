@@ -3,7 +3,7 @@
 Substrate for the expansion samplers (SBS, FFS) and ShortestPathS. Like
 :func:`~repro.graph.walk_engine.run_walk`, they address nodes by dense
 CSR index and keep the sample as a ``visited`` bitmap, so a BFS level is
-one gather of the frontier's neighbor slices.
+one :meth:`~repro.graph.csr.CSR.unvisited` call over the frontier.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.graph.csr import CSR, rank_in_group
+from repro.graph.csr import CSR
 
 
 def expand_frontier(
@@ -32,12 +32,8 @@ def expand_frontier(
     # Draw in ascending index order whatever the frontier order; each cap
     # moves with its parent.
     order = np.argsort(frontier)
-    owner, dst = csr.gather(frontier[order])
-    caps = caps[order]
-    keep = ~visited[dst]
-    owner, dst = owner[keep], dst[keep]
-    keep = rank_in_group(owner, rng.random(len(dst))) < caps[owner]
-    return np.unique(dst[keep])
+    _, dst = csr.unvisited(frontier[order], visited, caps[order], rng)
+    return np.unique(dst)
 
 
 def bfs_parents(csr: CSR, root: int, *, max_depth: int) -> np.ndarray:
@@ -51,12 +47,11 @@ def bfs_parents(csr: CSR, root: int, *, max_depth: int) -> np.ndarray:
     parent[root] = root
     frontier = np.array([root])
     for _ in range(max_depth):
-        owner, dst = csr.gather(frontier)
-        fresh = parent[dst] < 0
+        owner, dst = csr.unvisited(frontier, parent >= 0)
         # The frontier is ascending, so a node's first occurrence
         # carries its smallest parent.
-        dst, first = np.unique(dst[fresh], return_index=True)
-        parent[dst] = frontier[owner[fresh][first]]
+        dst, first = np.unique(dst, return_index=True)
+        parent[dst] = frontier[owner[first]]
         frontier = dst
     return parent
 

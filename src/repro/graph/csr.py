@@ -75,6 +75,28 @@ class CSR:
         owner, pos = self.slots(rows)
         return owner, self.nbr[pos]
 
+    def unvisited(
+        self,
+        rows: np.ndarray,
+        visited: np.ndarray,
+        caps: Optional[np.ndarray] = None,
+        rng: Optional[np.random.Generator] = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbors of ``rows`` outside the ``visited`` bitmap, as
+        ``(owner, nbr)`` ordered as :meth:`gather`.
+
+        With ``caps``, row ``j`` keeps at most ``caps[j]`` of them, a
+        uniform subset drawn with ``rng`` (Algorithm 2's n-cap, the SBS
+        fan-out, the FFS burn count); without, nothing is drawn.
+        """
+        owner, nbr = self.gather(rows)
+        keep = ~visited[nbr]
+        owner, nbr = owner[keep], nbr[keep]
+        if caps is not None:
+            keep = rank_in_group(owner, rng.random(len(nbr))) < caps[owner]
+            owner, nbr = owner[keep], nbr[keep]
+        return owner, nbr
+
 
 def rank_in_group(group: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Rank of each ``key`` among the keys of its ``group`` (0 = smallest).

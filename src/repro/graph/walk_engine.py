@@ -8,10 +8,7 @@ bitmask, and builds from the same two collects the hypothesis projection
 the estimator (:mod:`repro.core.estimator`) expands instances over; the
 collected frames are dropped. A superstep is a
 few numpy operations over the advancing walkers' neighbor slices and
-launches no Spark job. When each superstep was a Spark dataflow of its
-own (broadcast join, ``row_number`` window for the cap, anti-join for the
-exclusion, ``collect``), it cost 3.4 Spark jobs and 0.41-0.63 s on
-DBLP-lite, almost all fixed per-job latency (DESIGN.md §5).
+launches no Spark job.
 
 One superstep advances every gated walker at once; every walker chooses
 against V_S as it stood at the start of the superstep. The paper's
@@ -43,8 +40,9 @@ _M = 1_000_000_007
 MAX_SUPERSTEPS = 400
 
 # Paper §4.1: m = 50 dependent walkers, L_w and transition weights
-# w_h = 10 for nodes that match, w_l = 0.1 for the rest.
-M, W_H, W_L = 50, 10.0, 0.1
+# w_h = 10 for nodes that match, w_l = 0.1 for the rest, and PHASE_opt's
+# n = 30 candidates per step.
+M, W_H, W_L, N = 50, 10.0, 0.1, 30
 
 # Walker-selection and transition weights: uniform (1 each), degree
 # (FrontierS: walker selection by degree, uniform neighbor) or phase
@@ -64,8 +62,7 @@ class WalkConfig:
 
     weights: str = "uniform"  # one of WEIGHTS
     non_backtracking: bool = False  # NBRW: never step back to prev
-    exclude_visited: bool = False  # PHASE_opt Optim 2: N[v] - V_S
-    neighbor_cap: Optional[int] = None  # PHASE_opt Optim 1: n candidates
+    algorithm2: bool = False  # PHASE_opt: N uniform candidates of N[v] - V_S
     restart_prob: float = 0.0  # RWR: jump back to the walker's seed
     metropolis_hastings: bool = False  # MHRW degree-ratio accept/reject
 
@@ -142,12 +139,6 @@ class WalkContext:
             self.steps.append(CSR.build(ids, src[keep], dst[keep], val))
 
 
-def _initial_k(ctx: WalkContext, nodes: np.ndarray) -> np.ndarray:
-    """Matched-prefix length of walkers freshly placed on the dense
-    indices ``nodes``: 1 where the node satisfies M_1, else 0."""
-    return ctx.sat[nodes, 0].astype(np.int64)
-
-
 def _advancement_probs(cfg: WalkConfig, ctx: WalkContext, cur: np.ndarray) -> np.ndarray:
     """Per-walker advancement probability min(1, m * w_i / sum(w)) for
     walkers on the dense indices ``cur``."""
@@ -171,19 +162,16 @@ def _candidates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate moves ``(walker, dst)`` of walkers on ``cur``.
 
-    ``walker`` indexes ``cur``. Filters apply in Alg. 2 order: no step
-    back to ``prev`` (NBRW), ``N[v] - V_S`` against the ``visited``
-    bitmap, then at most ``neighbor_cap`` uniformly chosen survivors.
+    ``walker`` indexes ``cur``. Under Algorithm 2 they are at most ``N``
+    uniformly chosen neighbors outside the ``visited`` bitmap; that also
+    rules out ``prev``, which is always in V_S. Otherwise they are all
+    neighbors, less ``prev`` for NBRW.
     """
+    if cfg.algorithm2:
+        return ctx.csr.unvisited(cur, visited, np.full(len(cur), N), rng)
     walker, dst = ctx.csr.gather(cur)
-    keep = np.ones(len(dst), dtype=bool)
     if cfg.non_backtracking:
-        keep &= dst != prev[walker]
-    if cfg.exclude_visited:
-        keep &= ~visited[dst]
-    walker, dst = walker[keep], dst[keep]
-    if cfg.neighbor_cap is not None:
-        keep = rank_in_group(walker, rng.random(len(dst))) < cfg.neighbor_cap
+        keep = dst != prev[walker]
         walker, dst = walker[keep], dst[keep]
     return walker, dst
 
@@ -242,13 +230,24 @@ def run_walk(
     # l<=4 paths of the bank while keeping superstep counts bounded).
     m = min(M, max(2, budget // 6), n)
 
-    cur = rng.choice(n, size=m, replace=False)
     prev = np.full(m, -1, dtype=np.int64)
-    k = _initial_k(ctx, cur)
-    seed_node = cur.copy()
-
+    cur = np.full(m, -1, dtype=np.int64)
+    k = np.zeros(m, dtype=np.int64)
     visited = np.zeros(n, dtype=bool)
-    visited[cur] = True
+
+    def move(
+        w: np.ndarray, dst: np.ndarray, new_k: Optional[np.ndarray] = None
+    ) -> None:
+        """Walkers ``w`` step onto ``dst``. Without ``new_k`` (placement,
+        restart, teleport) k starts afresh: 1 where ``dst`` satisfies
+        M_1, else 0."""
+        prev[w] = cur[w]
+        cur[w] = dst
+        k[w] = ctx.sat[dst, 0] if new_k is None else new_k
+        visited[dst] = True
+
+    move(np.arange(m), rng.choice(n, size=m, replace=False))
+    seed_node = cur.copy()
     teleports = 0
     step = 0
 
@@ -261,12 +260,8 @@ def run_walk(
 
         if cfg.restart_prob > 0.0:
             r = adv_idx[rng.random(len(adv_idx)) < cfg.restart_prob]
-            prev[r] = cur[r]
-            cur[r] = seed_node[r]
-            k[r] = _initial_k(ctx, cur[r])
+            move(r, seed_node[r])
             adv_idx = np.setdiff1d(adv_idx, r)
-            if len(adv_idx) == 0:
-                continue
 
         walker, dst = _candidates(
             cfg, ctx, cur[adv_idx], prev[adv_idx], visited, rng
@@ -281,18 +276,11 @@ def run_walk(
             accept = np.minimum(1.0, deg[cur[moved]] / deg[dst])
             ok = rng.random(len(moved)) < accept
             moved, dst, new_k = moved[ok], dst[ok], new_k[ok]
-        prev[moved] = cur[moved]
-        cur[moved] = dst
-        k[moved] = new_k
-        visited[dst] = True
+        move(moved, dst, new_k)
 
         # Dead ends (no candidate survived the filters): teleport to a
         # fresh random node so the walk keeps covering the graph.
-        t = rng.integers(n, size=len(dead))
-        prev[dead] = cur[dead]
-        cur[dead] = t
-        k[dead] = _initial_k(ctx, t)
-        visited[t] = True
+        move(dead, rng.integers(n, size=len(dead)))
         teleports += len(dead)
 
     out = np.flatnonzero(visited)

@@ -103,7 +103,7 @@ class TestUndecidedGroundTruth:
 
 class TestTable1:
     def test_shape_matches_paper(self, spark):
-        df = table1(spark, sfs={n: 0.1 for n in ("MovieLens", "DBLP", "Yelp")})
+        df = table1(spark, sf=0.1)
         assert list(df["Dataset"]) == ["MovieLens", "DBLP", "Yelp"]
         by = df.set_index("Dataset")
         assert (by.loc["MovieLens", ["node_types", "edge_types"]] == [2, 1]).all()

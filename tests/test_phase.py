@@ -3,7 +3,7 @@ import pytest
 
 from repro.core.phase import PHASE, PHASE_OPT
 from repro.datasets.bank import bank
-from repro.graph.walk_engine import M, W_H, W_L, WalkConfig, WalkContext, run_walk
+from repro.graph.walk_engine import M, N, W_H, W_L, WalkConfig, WalkContext, run_walk
 
 
 class TestConfigs:
@@ -12,13 +12,12 @@ class TestConfigs:
         # §4.1: m=50, w_h=10, w_l=0.1.
         assert (M, W_H, W_L) == (50, 10.0, 0.1)
         assert cfg.weights == "phase"
-        assert cfg.neighbor_cap is None
-        assert not cfg.exclude_visited
+        assert not cfg.algorithm2
 
     def test_phase_opt_adds_both_optimizations(self):
         cfg = PHASE_OPT
-        assert cfg.neighbor_cap == 30  # Optim 1, n=30
-        assert cfg.exclude_visited  # Optim 2, N[v] - V_S
+        # Optim 1 (n = 30 candidates) and Optim 2 (N[v] - V_S).
+        assert cfg.algorithm2 and N == 30
         # The weight functions are unchanged from PHASE.
         assert cfg.weights == "phase"
 

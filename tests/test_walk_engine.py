@@ -16,6 +16,7 @@ from repro.core.phase import PHASE, PHASE_OPT
 from repro.datasets.bank import bank
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.walk_engine import (
+    N,
     W_H,
     W_L,
     WalkConfig,
@@ -23,7 +24,6 @@ from repro.graph.walk_engine import (
     _advancement_probs,
     _candidates,
     _choose,
-    _initial_k,
     run_walk,
     urand,
 )
@@ -143,13 +143,11 @@ class TestRunWalk:
 
     def test_exclude_visited_reduces_supersteps(self, ml_edge_ctx):
         plain = run_walk(ml_edge_ctx, WalkConfig(), 30, seed=2)
-        opt = run_walk(
-            ml_edge_ctx, WalkConfig(exclude_visited=True), 30, seed=2
-        )
+        opt = run_walk(ml_edge_ctx, WalkConfig(algorithm2=True), 30, seed=2)
         assert opt.supersteps <= plain.supersteps
 
     def test_neighbor_cap_still_reaches_budget(self, ml_edge_ctx):
-        res = run_walk(ml_edge_ctx, WalkConfig(neighbor_cap=3), 25, seed=4)
+        res = run_walk(ml_edge_ctx, WalkConfig(algorithm2=True), 25, seed=4)
         assert len(res.node_ids) == 25
 
     def test_restart_prob_runs(self, ml_edge_ctx):
@@ -196,7 +194,7 @@ def star_ctx(spark):
 
 def _walkers_on_centre(ctx, walkers):
     cur = np.full(walkers, ctx.csr.index(0))
-    return cur, np.full(walkers, -1), _initial_k(ctx, cur)
+    return cur, np.full(walkers, -1), ctx.sat[cur, 0].astype(np.int64)
 
 
 class TestTransitionDistribution:
@@ -227,12 +225,12 @@ class TestTransitionDistribution:
         visited[in_vs] = True
         walker, dst = _candidates(cfg, star_ctx, cur, prev, visited, rng)
         per_walker = np.bincount(walker, minlength=walkers)
-        assert (per_walker == cfg.neighbor_cap).all()  # 81 survivors >= n
+        assert (per_walker == N).all()  # 81 survivors >= n
         assert not visited[dst].any()
         # The n-subset is uniform over the survivors.
         counts = np.bincount(dst, minlength=star_ctx.csr.n)[~visited]
         counts = counts[star_ctx.csr.ids[~visited] != 0]
-        share = cfg.neighbor_cap / len(counts)
+        share = N / len(counts)
         mean, sd = walkers * share, np.sqrt(walkers * share * (1 - share))
         assert (np.abs(counts - mean) < 5 * sd).all()
         _, chosen, _ = _choose(cfg, star_ctx, walker, dst, k, rng)
