@@ -12,14 +12,11 @@ import re
 
 import pandas as pd
 
+from repro.samplers import ALL
+
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXP = os.path.join(HERE, "EXPERIMENTS.md")
 RESULTS = os.path.join(HERE, "results")
-
-SAMPLER_ORDER = [
-    "PHASE_opt", "RES", "RNS", "DBS", "SRW", "NBRW", "RWR", "MHRW",
-    "ShortestPathS", "FrontierS", "FFS", "SBS",
-]
 
 
 def _md(df: pd.DataFrame) -> str:
@@ -36,7 +33,7 @@ def _grid_table(path: str) -> str:
     """A Table 3/4 grid; a Table-3 cell with ``<sampler>_lo``/``_hi``
     columns reads ``accuracy [lo, hi]``."""
     df = pd.read_csv(path)
-    samplers = [s for s in SAMPLER_ORDER if s in df.columns]
+    samplers = [s for s in ALL if s in df.columns]
     for s in samplers:
         if f"{s}_lo" in df.columns:
             df[s] = [

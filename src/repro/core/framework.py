@@ -114,7 +114,6 @@ class Experiment:
             "accuracy": matches / runs,
             "accuracy_ci": wilson_interval(matches, runs),
             "avg_total_seconds": sum(r.total_seconds for r in results) / runs,
-            "avg_sample_seconds": sum(r.sample_seconds for r in results) / runs,
             "results": results,
         }
 

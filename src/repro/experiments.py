@@ -10,18 +10,21 @@ sampling proportions per (dataset, type) mirroring the paper's column three —
 scaled up because our graphs are ~100× smaller (a 0.2% sample of a 7k-
 node graph would hold 14 nodes), and ``runs`` (paper: 30).
 
-A hypothesis with no relevant instance in G has no ground truth to score
-against; the accuracy runners skip it with a logged line.
+Tables 2-4 and the path-length sweep share one cell loop, ``cells``: one
+sampler on one hypothesis at one budget, repeated ``runs`` times. Each
+runner only picks its hypotheses and reshapes the rows. A hypothesis with
+no relevant instance in G has no ground truth to score against; ``cells``
+skips it with a logged line.
 """
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.framework import Experiment
+from repro.core.hypothesis import Hypothesis
 from repro.datasets import GENERATORS, Dataset
 from repro.datasets.bank import bank, dblp_long_paths
 from repro.samplers import ALL as ALL_SAMPLERS
@@ -61,6 +64,61 @@ def table1(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
 
 
 # ---------------------------------------------------------------------
+# The cell loop behind Tables 2-4 and the path-length sweep
+# ---------------------------------------------------------------------
+COLUMNS = [
+    "Dataset", "Type", "Proportion", "Budget", "Hypothesis", "Sampler",
+    "Accuracy", "Lo", "Hi", "Matches", "Runs", "Time",
+]
+
+
+def cells(
+    spark: SparkSession,
+    dataset: str,
+    hyps: Iterable[tuple[object, float, Hypothesis]],
+    samplers: Iterable[str],
+    *,
+    runs: int,
+    sf: float,
+    seed: int,
+) -> pd.DataFrame:
+    """One row per (hypothesis, sampler) cell: ``runs`` runs at budget
+    ``max(20, proportion·|V|)``, their accuracy with its Wilson 95% interval
+    (``Lo``, ``Hi``) and average total time. ``hyps`` yields ``(label,
+    proportion, hypothesis)``; the label fills ``Type``."""
+    ds = load_dataset(spark, dataset, sf)
+    n_nodes = ds.graph.num_nodes()
+    rows = []
+    for label, prop, hyp in hyps:
+        budget = max(20, int(prop * n_nodes))
+        exp = Experiment(spark, ds.graph, hyp)
+        truth = exp.truth()
+        tag = f"[{dataset}/{label}]"
+        print(
+            f"{tag} {hyp.name}: truth={truth.decision} (n="
+            f"{truth.estimate.n_instances}, value={truth.estimate.value}) "
+            f"budget={budget}",
+            flush=True,
+        )
+        if truth.decision is None:
+            print(f"{tag}   skipped: no relevant instance in G", flush=True)
+            continue
+        for sname in samplers:
+            res = exp.accuracy(sname, budget, runs=runs, seed=seed)
+            acc, k, t = res["accuracy"], res["matches"], res["avg_total_seconds"]
+            lo, hi = res["accuracy_ci"]
+            print(
+                f"{tag}   {sname:14s} acc={acc:.2f} [{lo:.2f}, {hi:.2f}] t={t:.4f}s",
+                flush=True,
+            )
+            rows.append(
+                [dataset, label, prop, budget, hyp.name, sname, acc, lo, hi, k, runs, t]
+            )
+    ds.graph.unpersist()
+    return pd.DataFrame(rows, columns=COLUMNS)
+
+
+# ---------------------------------------------------------------------
 # Table 2
 # ---------------------------------------------------------------------
 def table2(
@@ -73,24 +131,13 @@ def table2(
 ) -> pd.DataFrame:
     """PHASE vs PHASE_opt average execution time on DBLP node/edge/path
     hypotheses (paper Table 2). Uses the first hypothesis of each type."""
-    ds = load_dataset(spark, "DBLP", sf)
-    n_nodes = ds.graph.num_nodes()
-    budget = max(20, int(proportion * n_nodes))
-    hyps = bank("DBLP")
-    rows = {"PHASE": {}, "PHASE_opt": {}}
-    for htype in ("node", "edge", "path"):
-        exp = Experiment(spark, ds.graph, hyps[htype][0])
-        for sampler, rec in rows.items():
-            times = [
-                exp.run_once(sampler, budget, seed=seed + r).total_seconds
-                for r in range(runs)
-            ]
-            rec[htype.capitalize()] = sum(times) / runs
-        exp.close()
-    ds.graph.unpersist()
-    out = pd.DataFrame(rows).T.reset_index(names="Sampler")
-    out["Budget"] = budget
-    return out
+    samplers = ["PHASE", "PHASE_opt"]
+    hyps = [(t.capitalize(), proportion, hs[0]) for t, hs in bank("DBLP").items()]
+    grid = cells(spark, "DBLP", hyps, samplers, runs=runs, sf=sf, seed=seed)
+    out = grid.pivot(index="Sampler", columns="Type", values="Time")
+    out = out.reindex(index=samplers, columns=["Node", "Edge", "Path"]).reset_index()
+    out["Budget"] = grid["Budget"].max()
+    return out.rename_axis(columns=None)
 
 
 # ---------------------------------------------------------------------
@@ -105,59 +152,17 @@ def accuracy_time_grid(
     sf: float = 1.0,
     seed: int = 0,
 ) -> pd.DataFrame:
-    """Run the full sampler × dataset × hypothesis-type grid.
-
-    Returns one row per (dataset, type, hypothesis, sampler) with the
+    """The ``cells`` rows of the sampler × dataset × hypothesis grid: the
     accuracy (Table 3), its ``Matches`` out of ``Runs``, and the average
-    total execution time (Table 4); per the paper, each cell averages the
-    bank's three hypotheses of that type, each over ``runs`` runs.
-    """
-    rows = []
+    total execution time (Table 4). Per the paper, a table cell averages
+    the bank's three hypotheses of its type."""
+    grids = []
     for dname in datasets:
-        ds = load_dataset(spark, dname, sf)
-        n_nodes = ds.graph.num_nodes()
-        hyps = bank(dname)
-        for htype in ("node", "edge", "path"):
-            prop = PROPORTIONS[(dname, htype)]
-            budget = max(20, int(prop * n_nodes))
-            for hyp in hyps[htype]:
-                exp = Experiment(spark, ds.graph, hyp)
-                truth = exp.truth()
-                print(
-                    f"[grid] {dname}/{htype} {hyp.name}: truth="
-                    f"{truth.decision} (n={truth.estimate.n_instances}, "
-                    f"value={truth.estimate.value}) budget={budget}",
-                    flush=True,
-                )
-                if truth.decision is None:
-                    print("[grid]   skipped: no relevant instance in G", flush=True)
-                    exp.close()
-                    continue
-                for sname in samplers:
-                    res = exp.accuracy(sname, budget, runs=runs, seed=seed)
-                    lo, hi = res["accuracy_ci"]
-                    print(
-                        f"[grid]   {sname:14s} acc={res['accuracy']:.2f} "
-                        f"[{lo:.2f}, {hi:.2f}] "
-                        f"t={res['avg_total_seconds']:.2f}s",
-                        flush=True,
-                    )
-                    rows.append(
-                        {
-                            "Dataset": dname,
-                            "Type": htype,
-                            "Proportion": prop,
-                            "Hypothesis": hyp.name,
-                            "Sampler": sname,
-                            "Accuracy": res["accuracy"],
-                            "Matches": res["matches"],
-                            "Runs": runs,
-                            "Time": res["avg_total_seconds"],
-                        }
-                    )
-                exp.close()
-        ds.graph.unpersist()
-    return pd.DataFrame(rows)
+        hyps = [
+            (t, PROPORTIONS[dname, t], h) for t, hs in bank(dname).items() for h in hs
+        ]
+        grids.append(cells(spark, dname, hyps, samplers, runs=runs, sf=sf, seed=seed))
+    return pd.concat(grids, ignore_index=True)
 
 
 def pivot_table3(grid: pd.DataFrame) -> pd.DataFrame:
@@ -165,14 +170,14 @@ def pivot_table3(grid: pd.DataFrame) -> pd.DataFrame:
     cells = accuracy averaged over the hypotheses of the row. Columns
     ``<sampler>_lo`` and ``<sampler>_hi`` bound each cell with the Wilson
     95% interval of the row's pooled matches and runs."""
-    cells = grid.groupby(["Dataset", "Type", "Proportion", "Sampler"]).agg(
+    pooled = grid.groupby(["Dataset", "Type", "Proportion", "Sampler"]).agg(
         Accuracy=("Accuracy", "mean"), Matches=("Matches", "sum"), Runs=("Runs", "sum")
     )
-    ci = [wilson_interval(k, n) for k, n in zip(cells["Matches"], cells["Runs"])]
-    cells["lo"], cells["hi"] = [c[0] for c in ci], [c[1] for c in ci]
-    out = cells["Accuracy"].unstack("Sampler")
+    ci = [wilson_interval(k, n) for k, n in zip(pooled["Matches"], pooled["Runs"])]
+    pooled["lo"], pooled["hi"] = [c[0] for c in ci], [c[1] for c in ci]
+    out = pooled["Accuracy"].unstack("Sampler")
     for bound in ("lo", "hi"):
-        out = out.join(cells[bound].unstack("Sampler").add_suffix(f"_{bound}"))
+        out = out.join(pooled[bound].unstack("Sampler").add_suffix(f"_{bound}"))
     return out.round(2).reset_index()
 
 
@@ -204,28 +209,7 @@ def path_length_sweep(
 ) -> pd.DataFrame:
     """Accuracy (with its Wilson 95% interval) and time for the DBLP
     length-3 and length-4 path hypotheses."""
-    ds = load_dataset(spark, "DBLP", sf)
-    budget = max(20, int(proportion * ds.graph.num_nodes()))
-    rows = []
-    for length, hyp in dblp_long_paths().items():
-        exp = Experiment(spark, ds.graph, hyp)
-        if exp.truth().decision is None:
-            print(f"[sweep] skipped {hyp.name}: no relevant instance in G", flush=True)
-            exp.close()
-            continue
-        for sname in samplers:
-            res = exp.accuracy(sname, budget, runs=runs, seed=seed)
-            lo, hi = res["accuracy_ci"]
-            rows.append(
-                {
-                    "Length": length,
-                    "Sampler": sname,
-                    "Accuracy": res["accuracy"],
-                    "Lo": lo,
-                    "Hi": hi,
-                    "Time": res["avg_total_seconds"],
-                }
-            )
-        exp.close()
-    ds.graph.unpersist()
-    return pd.DataFrame(rows)
+    hyps = [(length, proportion, h) for length, h in dblp_long_paths().items()]
+    grid = cells(spark, "DBLP", hyps, samplers, runs=runs, sf=sf, seed=seed)
+    grid = grid.rename(columns={"Type": "Length"})
+    return grid[["Length", "Sampler", "Accuracy", "Lo", "Hi", "Time"]]

@@ -1,5 +1,6 @@
-"""Unit tests for the special-function substrate (no scipy on board, so
-these verify against closed forms and math-module references)."""
+"""Unit tests for ``stats.ttest.betainc_reg``, the regularized incomplete
+beta that the Student-t cdf is built on (no scipy on board, so these
+verify against closed forms and math-module references)."""
 import math
 
 import pytest
