@@ -87,26 +87,49 @@ class CSR:
 
         With ``caps``, row ``j`` keeps at most ``caps[j]`` of them, a
         uniform subset drawn with ``rng`` (Algorithm 2's n-cap, the SBS
-        fan-out, the FFS burn count); without, nothing is drawn.
+        fan-out, the FFS burn count); without, nothing is drawn. Every
+        candidate gets a uniform key, but only the rows of an owner over
+        its cap are ranked: the others keep all of theirs.
         """
         owner, nbr = self.gather(rows)
         keep = ~visited[nbr]
         owner, nbr = owner[keep], nbr[keep]
         if caps is not None:
-            keep = rank_in_group(owner, rng.random(len(nbr))) < caps[owner]
+            key = rng.random(len(nbr))
+            over = (np.bincount(owner, minlength=len(rows)) > caps)[owner]
+            keep = ~over
+            o = owner[over]
+            keep[over] = rank_in_group(o, key[over]) < caps[o]
             owner, nbr = owner[keep], nbr[keep]
         return owner, nbr
 
 
 def rank_in_group(group: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Rank of each ``key`` among the keys of its ``group`` (0 = smallest).
+    """Rank of each ``key`` among the keys of its ``group`` (0 = smallest,
+    ties by position).
 
     ``rank < n`` keeps the n smallest keys per group: with uniform keys
-    that is a uniform n-subset, and with exponential-race keys
-    ``rank == 0`` is a choice weighted by the race's rates.
+    that is a uniform n-subset.
     """
     order = np.lexsort((key, group))
     g = group[order]
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order)) - np.searchsorted(g, g)
     return rank
+
+
+def argmin_in_group(group: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Position of the smallest ``key`` of each group, the first on ties,
+    in ascending order: where ``rank_in_group(group, key) == 0``.
+
+    Each group must be one contiguous run of ``group``, as :meth:`CSR.gather`
+    returns its owners. A segmented minimum, O(len(key)) and sort-free:
+    with exponential-race keys it is a choice weighted by the race's rates.
+    """
+    start = np.empty(len(group), dtype=bool)
+    start[:1] = True
+    np.not_equal(group[1:], group[:-1], out=start[1:])
+    starts = np.flatnonzero(start)
+    run = np.cumsum(start) - 1
+    at_min = np.flatnonzero(key == np.minimum.reduceat(key, starts)[run])
+    return at_min[np.searchsorted(at_min, starts)]

@@ -28,7 +28,7 @@ from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 from repro.core.hypothesis import Hypothesis
-from repro.graph.csr import CSR, rank_in_group
+from repro.graph.csr import CSR, argmin_in_group
 from repro.graph.property_graph import PropertyGraph
 
 _M = 1_000_000_007
@@ -162,10 +162,11 @@ def _candidates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate moves ``(walker, dst)`` of walkers on ``cur``.
 
-    ``walker`` indexes ``cur``. Under Algorithm 2 they are at most ``N``
-    uniformly chosen neighbors outside the ``visited`` bitmap; that also
-    rules out ``prev``, which is always in V_S. Otherwise they are all
-    neighbors, less ``prev`` for NBRW.
+    ``walker`` indexes ``cur``, each walker's candidates one contiguous
+    run. Under Algorithm 2 they are at most ``N`` uniformly chosen
+    neighbors outside the ``visited`` bitmap; that also rules out
+    ``prev``, which is always in V_S. Otherwise they are all neighbors,
+    less ``prev`` for NBRW.
     """
     if cfg.algorithm2:
         return ctx.csr.unvisited(cur, visited, np.full(len(cur), N), rng)
@@ -185,7 +186,8 @@ def _choose(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One move per walker that has candidates, chosen with probability
-    proportional to its transition weight (exponential race).
+    proportional to its transition weight: an exponential race, won by
+    the walker's smallest key (the first of equal ones) within its run.
 
     ``k[walker]`` is the walker's matched-prefix length. Returns
     ``(walker, dst, new_k)``, one row per walker, with k after the move.
@@ -202,7 +204,7 @@ def _choose(
         restarts = sat[:, 0]
         w = np.where(continues | restarts, W_H, W_L)
         new_k = np.where(continues, kw + 1, restarts.astype(np.int64))
-    win = rank_in_group(walker, rng.standard_exponential(len(dst)) / w) == 0
+    win = argmin_in_group(walker, rng.standard_exponential(len(dst)) / w)
     return walker[win], dst[win], new_k[win]
 
 
@@ -259,16 +261,19 @@ def run_walk(
         adv_idx = np.flatnonzero(adv)
 
         if cfg.restart_prob > 0.0:
-            r = adv_idx[rng.random(len(adv_idx)) < cfg.restart_prob]
+            restart = rng.random(len(adv_idx)) < cfg.restart_prob
+            r = adv_idx[restart]
             move(r, seed_node[r])
-            adv_idx = np.setdiff1d(adv_idx, r)
+            adv_idx = adv_idx[~restart]
 
         walker, dst = _candidates(
             cfg, ctx, cur[adv_idx], prev[adv_idx], visited, rng
         )
         walker, dst, new_k = _choose(cfg, ctx, walker, dst, k[adv_idx], rng)
         moved = adv_idx[walker]
-        dead = np.setdiff1d(adv_idx, moved)
+        stuck = np.ones(len(adv_idx), dtype=bool)
+        stuck[walker] = False
+        dead = adv_idx[stuck]
         if cfg.metropolis_hastings:
             # A rejected proposal consumes the step: the walker stays put.
             # Both degrees are >= 1: the move used an edge between them.

@@ -1,8 +1,9 @@
-"""Tests for ``CSR.unvisited``, the one neighbor draw of walks and BFS."""
+"""Tests for ``CSR.unvisited``, the one neighbor draw of walks and BFS,
+and for the per-group kernels it and the walk's race run on."""
 import numpy as np
 import pytest
 
-from repro.graph.csr import CSR
+from repro.graph.csr import CSR, argmin_in_group, rank_in_group
 
 
 @pytest.fixture(scope="module")
@@ -55,3 +56,54 @@ def test_no_caps_draws_nothing(csr):
     before = rng.bit_generator.state
     csr.unvisited(np.arange(csr.n), _visited(csr, 6), None, rng)
     assert rng.bit_generator.state == before
+
+
+def _grouped(rng, groups, size, keys):
+    """Random group labels in contiguous runs (some groups absent) and
+    keys drawn by ``keys(rng, n)``."""
+    counts = rng.integers(0, size, groups)
+    group = np.repeat(np.arange(groups), counts)
+    return group, keys(rng, len(group))
+
+
+@pytest.mark.parametrize("keys", [
+    lambda rng, n: rng.standard_exponential(n),
+    lambda rng, n: rng.integers(0, 3, n),  # many ties
+])
+def test_argmin_in_group_is_rank_zero(keys):
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        group, key = _grouped(rng, int(rng.integers(1, 12)), 9, keys)
+        want = np.flatnonzero(rank_in_group(group, key) == 0)
+        assert (argmin_in_group(group, key) == want).all()
+
+
+def test_argmin_in_group_empty():
+    got = argmin_in_group(np.empty(0, dtype=np.int64), np.empty(0))
+    assert len(got) == 0
+
+
+def _unvisited_ranked(csr, rows, visited, caps, rng):
+    """Reference capped draw: rank a uniform key in every group."""
+    owner, nbr = csr.unvisited(rows, visited)
+    keep = rank_in_group(owner, rng.random(len(nbr))) < caps[owner]
+    return owner[keep], nbr[keep]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_capped_unvisited_matches_ranking_every_group(csr, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(csr.n)[: int(rng.integers(1, csr.n))]
+    visited = _visited(csr, seed + 10)
+    caps = rng.integers(0, 8, len(rows))
+    got = csr.unvisited(rows, visited, caps, np.random.default_rng(seed))
+    want = _unvisited_ranked(csr, rows, visited, caps, np.random.default_rng(seed))
+    assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+
+
+def test_capped_unvisited_draws_one_key_per_candidate(csr):
+    rows, visited = np.arange(csr.n), _visited(csr, 8)
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    csr.unvisited(rows, visited, np.full(csr.n, 2), rng)
+    ref.random(len(csr.unvisited(rows, visited)[1]))
+    assert rng.bit_generator.state == ref.bit_generator.state

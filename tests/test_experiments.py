@@ -102,6 +102,38 @@ class TestUndecidedGroundTruth:
         assert out.count("skipped") == 2 and "toy-zzz" in out
 
 
+class TestCellTime:
+    def test_time_averages_only_the_timed_runs(self, spark, monkeypatch, toy_hyps):
+        """A run's seconds are its seed: the warm-up seed (3) stays out of
+        Time, which averages the timed seeds 0, 1 and 2."""
+        from dataclasses import replace
+
+        from repro.core.framework import Experiment
+
+        monkeypatch.setattr(
+            experiments, "load_dataset",
+            lambda spark, name, sf=None: Dataset.build(
+                spark, "toy", {"a": TOY_A, "b": TOY_B}, {"r": TOY_R}
+            ),
+        )
+        seeds = []
+        real = Experiment.run_once
+
+        def run_once(self, name, budget, *, seed):
+            seeds.append(seed)
+            res = real(self, name, budget, seed=seed)
+            return replace(res, sample_seconds=float(seed), test_seconds=0.0)
+
+        monkeypatch.setattr(Experiment, "run_once", run_once)
+        grid = experiments.cells(
+            spark, "toy", [("node", 0.5, toy_hyps["node"])], ["SRW"],
+            runs=3, sf=1.0, seed=0,
+        )
+        assert seeds == [3, 0, 1, 2]
+        assert grid.loc[0, "Time"] == pytest.approx(1.0)
+        assert grid.loc[0, "Runs"] == 3
+
+
 class TestTable1:
     def test_shape_matches_paper(self, spark):
         df = table1(spark, sf=0.1)

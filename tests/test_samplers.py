@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.hypothesis import Agg, AttrRef, Modifier, Op, path_hypothesis
 from repro.core.phase import PHASE_OPT
+from repro.datasets.bank import bank
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.walk_engine import WalkConfig, WalkContext, run_walk
 from repro.samplers import AGNOSTIC, ALL, SAMPLERS, get_sampler
@@ -78,12 +79,60 @@ PINNED_VS = {
 }
 
 
+def _digest(ids) -> str:
+    return hashlib.sha1(",".join(map(str, sorted(ids))).encode()).hexdigest()
+
+
 def test_vs_pinned_per_seed(sampler_runs):
-    got = {
-        name: hashlib.sha1(",".join(map(str, sorted(ids))).encode()).hexdigest()
-        for name, ids in sampler_runs.items()
-    }
+    got = {name: _digest(ids) for name, ids in sampler_runs.items()}
     assert got == PINNED_VS
+
+
+# SHA-1 of sorted V_S on DB-P1 over the session ``dblp`` graph (DBLP-lite,
+# sf = 0.2), keyed by (sampler, budget, seed); B = 28 and 142 are 2% and
+# 10% of |V|. Unlike ML-E1 at B = 30, these walks reach the field-of-study
+# hubs, so PHASE_opt's and SBS's caps cut rows short and RWR restarts.
+# The digests were computed with the lexsort-based race, n-cap and
+# dead-walker set difference, before those became sort-free.
+DBLP_PINNED_VS = {
+    ("FFS", 28, 0): "35fc66f0162298f577d6d35e57434b7461438b9c",
+    ("FFS", 28, 1): "f477d8235de9ad10a578c78432d450a7559d0cff",
+    ("FFS", 142, 0): "36e964fc2f4a506de15caa5dbeeb08a0db834f4a",
+    ("FFS", 142, 1): "c443465b3b90c1379cd19a3d2c713beaf2450742",
+    ("MHRW", 28, 0): "96cc250ff8680c2dc5b80bb1809b07ff8d297e3d",
+    ("MHRW", 28, 1): "63ee70aea8566df79ba5aa2557e3e1487633967d",
+    ("MHRW", 142, 0): "b7fee1a728908f66563fd60d0227a079e0130037",
+    ("MHRW", 142, 1): "f64d0527b27a7a93b05c0d2397f1c0db61adb522",
+    ("PHASE", 28, 0): "4da60ecc433fd05f10de3c9f5a765ce90aa47822",
+    ("PHASE", 28, 1): "341a7c0668e0f5f0213b4ea886c6eea939aaa02e",
+    ("PHASE", 142, 0): "70f281a8e6dba9ac122b6ea709660167cb51ccdc",
+    ("PHASE", 142, 1): "b648d8fdda27330fdc135a1363d59e66d8747abb",
+    ("PHASE_opt", 28, 0): "3478d2ec52891d653a226efb42fe0d668ca702c1",
+    ("PHASE_opt", 28, 1): "97ee08a61de4a34aa308d50849b263319e4bc3b7",
+    ("PHASE_opt", 142, 0): "22a65ad0d5c6642d9de3aeeeebfa2d24a88b6341",
+    ("PHASE_opt", 142, 1): "e1e294ee1c5e62acf6ccd9837ad98adffd174be3",
+    ("RWR", 28, 0): "e215713d524842f788c286a65d2ef619cccf7240",
+    ("RWR", 28, 1): "edfe66b39b8bbb1d0520d8ac2fa11dfc86bc479f",
+    ("RWR", 142, 0): "0787b9b1d578efa6de99846d889687951382fe43",
+    ("RWR", 142, 1): "23e81d2be84b148a5a4308b31799f30b9f0cf31f",
+    ("SBS", 28, 0): "dfb2fddbe67341e8a318aa99244f9590e573c75b",
+    ("SBS", 28, 1): "0e227c7ed37303cafc92393f84e0b9739d05efb6",
+    ("SBS", 142, 0): "b817a08f1eb8292bdc739a823b80d5706780d1a0",
+    ("SBS", 142, 1): "1291e9365999f9782486318bb52431f54ac50dda",
+}
+
+
+def test_vs_pinned_per_seed_dblp(dblp):
+    hyp = next(h for h in bank("DBLP")["path"] if h.name == "DB-P1")
+    ctx = WalkContext(dblp.graph, hyp)
+    n = ctx.csr.n
+    got = {}
+    for name, budget, seed in DBLP_PINNED_VS:
+        assert budget in (int(0.02 * n), int(0.10 * n))
+        got[name, budget, seed] = _digest(
+            get_sampler(name).sample(ctx, budget, seed=seed)
+        )
+    assert got == DBLP_PINNED_VS
 
 
 @pytest.fixture(scope="module")

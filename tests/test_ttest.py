@@ -69,6 +69,21 @@ class TestTCdf:
         with pytest.raises(ValueError):
             t_cdf(1.0, 0)
 
+    @pytest.mark.parametrize("t, df, want", [
+        # 40-digit mpmath values of the incomplete-beta form.
+        (-1.96, 1e5, 0.024999281597150819),
+        (-3.0, 1e4, 0.0013532240949988331),
+        (1.0, 1e5, 0.84134353621794499),
+        (-10.0, 1e5, 7.816507650103639e-24),
+    ])
+    def test_large_df_reference_values(self, t, df, want):
+        assert t_cdf(t, df) == pytest.approx(want, rel=1e-12)
+
+    def test_huge_df_is_the_normal_limit(self):
+        # Taken directly at df = 1e9, lgamma(a + 1/2) - lgamma(a) cancels
+        # to ~1e-8. The exact gap to the normal cdf is about 1.4e-10 here.
+        assert abs(t_cdf(1.959963984540054, 1e9) - 0.975) < 1e-9
+
 
 class TestTPpf:
     @pytest.mark.parametrize("df", [1, 2, 5, 30, 200])
@@ -101,6 +116,10 @@ class TestTPpf:
             t = t_ppf(q, df)
         assert abs(t_cdf(t, df) - q) <= 1e-9
         assert len(calls) <= 15
+
+    def test_huge_df_is_the_normal_quantile(self):
+        # The exact gap to the normal quantile is about 2.4e-10 at df = 1e10.
+        assert abs(t_ppf(0.975, 1e10) - 1.959963984540054) < 1e-9
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):
