@@ -1,9 +1,10 @@
 """Shared spark-submit session bootstrap for the table jobs.
 
 Jobs are standalone entrypoints (``python jobs/table3_accuracy.py`` or
-``spark-submit jobs/table3_accuracy.py``); tests use the conftest
-``spark`` fixture instead. Scale/repetition knobs come from env vars so
-EXPERIMENTS.md documents exactly one command per table.
+``spark-submit jobs/table3_accuracy.py``); the tests' ``spark``
+fixture and ``perfbench/run.py`` start their session here too.
+Scale/repetition knobs come from env vars so EXPERIMENTS.md documents
+exactly one command per table.
 """
 from __future__ import annotations
 

@@ -1,9 +1,8 @@
 """Insert measured tables from results/*.csv into EXPERIMENTS.md.
 
-Replaces the ``<!-- XXX_MEASURED -->`` placeholder comments with
-markdown tables. Idempotent: placeholders are kept as section anchors
-and the generated block between an anchor and the next ``---``/heading
-is rewritten on each run.
+Each ``<!-- XXX_MEASURED -->`` anchor stays in place as a section
+anchor; only the markdown table right under it is rewritten, so the
+prose around it survives and a second run changes nothing.
 """
 from __future__ import annotations
 
@@ -52,9 +51,13 @@ def _grid_table(path: str) -> str:
 
 
 def fill(anchor: str, table_md: str, text: str) -> str:
+    """``text`` with the table under ``<!-- anchor -->`` (the run of
+    ``|`` lines after its blank lines, if any) replaced by ``table_md``."""
     tag = f"<!-- {anchor} -->"
-    pattern = re.compile(re.escape(tag) + r".*?(?=\n---|\n## |\Z)", re.S)
-    return pattern.sub(tag + "\n\n" + table_md + "\n", text)
+    pattern = re.compile(re.escape(tag) + r"\n*((?:\|.*(?:\n|\Z))*)")
+    return pattern.sub(
+        lambda m: f"{tag}\n\n{table_md}\n" + ("" if m.group(1) else "\n"), text
+    )
 
 
 def main() -> None:

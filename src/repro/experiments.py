@@ -80,7 +80,6 @@ def cells(
     *,
     runs: int,
     sf: float,
-    seed: int,
 ) -> pd.DataFrame:
     """One row per (hypothesis, sampler) cell: ``runs`` runs at budget
     ``max(20, proportion·|V|)``, their accuracy with its Wilson 95% interval
@@ -107,9 +106,9 @@ def cells(
         for sname in samplers:
             # One untimed run first, so that a Spark sampler's first job of
             # the session (JVM and codegen warm-up) stays out of Time. The
-            # timed runs take seeds seed * 1000 + r for r < runs.
-            exp.run_once(sname, budget, seed=seed * 1000 + runs)
-            res = exp.accuracy(sname, budget, runs=runs, seed=seed)
+            # timed runs take seeds 0 … runs - 1.
+            exp.run_once(sname, budget, seed=runs)
+            res = exp.accuracy(sname, budget, runs=runs)
             acc, k, t = res["accuracy"], res["matches"], res["avg_total_seconds"]
             lo, hi = res["accuracy_ci"]
             print(
@@ -132,13 +131,12 @@ def table2(
     sf: float = 1.0,
     proportion: float = 0.02,
     runs: int = 3,
-    seed: int = 0,
 ) -> pd.DataFrame:
     """PHASE vs PHASE_opt average execution time on DBLP node/edge/path
     hypotheses (paper Table 2). Uses the first hypothesis of each type."""
     samplers = ["PHASE", "PHASE_opt"]
     hyps = [(t.capitalize(), proportion, hs[0]) for t, hs in bank("DBLP").items()]
-    grid = cells(spark, "DBLP", hyps, samplers, runs=runs, sf=sf, seed=seed)
+    grid = cells(spark, "DBLP", hyps, samplers, runs=runs, sf=sf)
     out = grid.pivot(index="Sampler", columns="Type", values="Time")
     out = out.reindex(index=samplers, columns=["Node", "Edge", "Path"]).reset_index()
     out["Budget"] = grid["Budget"].max()
@@ -155,7 +153,6 @@ def accuracy_time_grid(
     samplers: Iterable[str] = tuple(ALL_SAMPLERS),
     runs: int = 3,
     sf: float = 1.0,
-    seed: int = 0,
 ) -> pd.DataFrame:
     """The ``cells`` rows of the sampler × dataset × hypothesis grid: the
     accuracy (Table 3), its ``Matches`` out of ``Runs``, and the average
@@ -166,7 +163,7 @@ def accuracy_time_grid(
         hyps = [
             (t, PROPORTIONS[dname, t], h) for t, hs in bank(dname).items() for h in hs
         ]
-        grids.append(cells(spark, dname, hyps, samplers, runs=runs, sf=sf, seed=seed))
+        grids.append(cells(spark, dname, hyps, samplers, runs=runs, sf=sf))
     return pd.concat(grids, ignore_index=True)
 
 
@@ -210,11 +207,10 @@ def path_length_sweep(
     proportion: float = 0.02,
     runs: int = 3,
     sf: float = 1.0,
-    seed: int = 0,
 ) -> pd.DataFrame:
     """Accuracy (with its Wilson 95% interval) and time for the DBLP
     length-3 and length-4 path hypotheses."""
     hyps = [(length, proportion, h) for length, h in dblp_long_paths().items()]
-    grid = cells(spark, "DBLP", hyps, samplers, runs=runs, sf=sf, seed=seed)
+    grid = cells(spark, "DBLP", hyps, samplers, runs=runs, sf=sf)
     grid = grid.rename(columns={"Type": "Length"})
     return grid[["Length", "Sampler", "Accuracy", "Lo", "Hi", "Time"]]

@@ -44,6 +44,9 @@ MAX_SUPERSTEPS = 400
 # n = 30 candidates per step.
 M, W_H, W_L, N = 50, 10.0, 0.1, 30
 
+# RWR: an advancing walker jumps back to its seed with this probability.
+RESTART = 0.15
+
 # Walker-selection and transition weights: uniform (1 each), degree
 # (FrontierS: walker selection by degree, uniform neighbor) or phase
 # (PHASE: L_w walker selection and the Fig. 3 transitions).
@@ -63,7 +66,7 @@ class WalkConfig:
     weights: str = "uniform"  # one of WEIGHTS
     non_backtracking: bool = False  # NBRW: never step back to prev
     algorithm2: bool = False  # PHASE_opt: N uniform candidates of N[v] - V_S
-    restart_prob: float = 0.0  # RWR: jump back to the walker's seed
+    restart: bool = False  # RWR: jump back to the walker's seed (RESTART)
     metropolis_hastings: bool = False  # MHRW degree-ratio accept/reject
 
     def __post_init__(self) -> None:
@@ -260,8 +263,8 @@ def run_walk(
             adv[int(rng.integers(m))] = True
         adv_idx = np.flatnonzero(adv)
 
-        if cfg.restart_prob > 0.0:
-            restart = rng.random(len(adv_idx)) < cfg.restart_prob
+        if cfg.restart:
+            restart = rng.random(len(adv_idx)) < RESTART
             r = adv_idx[restart]
             move(r, seed_node[r])
             adv_idx = adv_idx[~restart]

@@ -20,7 +20,7 @@ from repro.samplers.base import register
 WALKS = {
     "SRW": WalkConfig(),
     "NBRW": WalkConfig(non_backtracking=True),
-    "RWR": WalkConfig(restart_prob=0.15),
+    "RWR": WalkConfig(restart=True),
     "MHRW": WalkConfig(metropolis_hastings=True),
     "FrontierS": WalkConfig(weights="degree"),
 }

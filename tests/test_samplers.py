@@ -93,7 +93,8 @@ def test_vs_pinned_per_seed(sampler_runs):
 # 10% of |V|. Unlike ML-E1 at B = 30, these walks reach the field-of-study
 # hubs, so PHASE_opt's and SBS's caps cut rows short and RWR restarts.
 # The digests were computed with the lexsort-based race, n-cap and
-# dead-walker set difference, before those became sort-free.
+# dead-walker set difference, before those became sort-free, and
+# ShortestPathS's with one depth-4 bfs_parents per source.
 DBLP_PINNED_VS = {
     ("FFS", 28, 0): "35fc66f0162298f577d6d35e57434b7461438b9c",
     ("FFS", 28, 1): "f477d8235de9ad10a578c78432d450a7559d0cff",
@@ -119,6 +120,10 @@ DBLP_PINNED_VS = {
     ("SBS", 28, 1): "0e227c7ed37303cafc92393f84e0b9739d05efb6",
     ("SBS", 142, 0): "b817a08f1eb8292bdc739a823b80d5706780d1a0",
     ("SBS", 142, 1): "1291e9365999f9782486318bb52431f54ac50dda",
+    ("ShortestPathS", 28, 0): "8711bbd57623d18f30479f328d9a40f7e6695179",
+    ("ShortestPathS", 28, 1): "ccac25a3731bd2b0cbfdacead149b67b38c89c75",
+    ("ShortestPathS", 142, 0): "cfaf3d4a88f3e483462b858d4a2fcc329c7502ce",
+    ("ShortestPathS", 142, 1): "96579e4a535404c38b1994e57df894540a6b06fe",
 }
 
 

@@ -151,7 +151,7 @@ class TestRunWalk:
         assert len(res.node_ids) == 25
 
     def test_restart_prob_runs(self, ml_edge_ctx):
-        res = run_walk(ml_edge_ctx, WalkConfig(restart_prob=0.3), 25, seed=4)
+        res = run_walk(ml_edge_ctx, WalkConfig(restart=True), 25, seed=4)
         assert len(res.node_ids) == 25
 
     def test_mh_runs(self, ml_edge_ctx):
