@@ -5,7 +5,6 @@ goes into ``PYSPARK_SUBMIT_ARGS`` here, at conftest import, before any
 test module imports pyspark.
 """
 import os
-import sys
 
 
 def _driver_mem() -> str:
@@ -32,14 +31,23 @@ import pytest  # noqa: E402
 from jobs.common import get_spark  # noqa: E402
 
 
+# The session Spark's settings, for the terminal summary: pytest captures
+# what a fixture prints, so a line printed there reaches no passing run.
+_SESSION_LINE = []
+
+
 @pytest.fixture(scope="session")
 def spark():
     s = get_spark("repro")
-    print(
+    _SESSION_LINE.append(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"master={s.sparkContext.master} "
-        f"defaultParallelism={s.sparkContext.defaultParallelism}",
-        file=sys.stderr,
+        f"defaultParallelism={s.sparkContext.defaultParallelism}"
     )
     yield s
     s.stop()
+
+
+def pytest_terminal_summary(terminalreporter):
+    for line in _SESSION_LINE:
+        terminalreporter.write_line(line)

@@ -110,17 +110,25 @@ def rank_in_group(group: np.ndarray, key: np.ndarray) -> np.ndarray:
 
     ``rank < n`` keeps the n smallest keys per group: with uniform keys
     that is a uniform n-subset.
+
+    One stable argsort of ``group + key``, so it holds only for what
+    :meth:`CSR.unvisited` passes: keys in [0, 1) and each group one
+    contiguous run, the runs in ascending order. Float rounding of
+    ``group + key`` is monotone, so it never reverses two keys or two
+    groups; where it makes two sums equal (a key just under 1 and the next
+    group's 0, or two keys of a group closer than the float spacing at
+    ``group``) the stable sort keeps their positions. Keys outside [0, 1)
+    (exponential keys, integers from 1 up) break the grouping.
     """
-    order = np.lexsort((key, group))
-    g = group[order]
+    order = np.argsort(group + key, kind="stable")
     rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order)) - np.searchsorted(g, g)
+    rank[order] = np.arange(len(order)) - np.searchsorted(group, group)
     return rank
 
 
 def argmin_in_group(group: np.ndarray, key: np.ndarray) -> np.ndarray:
     """Position of the smallest ``key`` of each group, the first on ties,
-    in ascending order: where ``rank_in_group(group, key) == 0``.
+    in ascending order.
 
     Each group must be one contiguous run of ``group``, as :meth:`CSR.gather`
     returns its owners. A segmented minimum, O(len(key)) and sort-free:

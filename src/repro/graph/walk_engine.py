@@ -3,11 +3,11 @@
 The substrate every random-walk sampler (SRW, NBRW, RWR, MHRW, FrontierS,
 PHASE, PHASE_opt) is configured from. :class:`WalkContext` collects the
 symmetric adjacency and the modifier flags to the driver once per (graph,
-hypothesis) pair, as a :class:`~repro.graph.csr.CSR` and a ``sat[n, L]``
-bitmask, and builds from the same two collects the hypothesis projection
-the estimator (:mod:`repro.core.estimator`) expands instances over; the
-collected frames are dropped. A superstep is a
-few numpy operations over the advancing walkers' neighbor slices and
+hypothesis) pair, as a :class:`~repro.graph.csr.CSR` and one modifier
+bitmask per node, and builds from the same two collects the hypothesis
+projection the estimator (:mod:`repro.core.estimator`) expands instances
+over; the collected frames are dropped. A superstep is a few numpy
+operations over the advancing walkers' neighbor slices and
 launches no Spark job.
 
 One superstep advances every gated walker at once; every walker chooses
@@ -79,8 +79,10 @@ class WalkContext:
     estimator, collected to the driver with two Spark jobs.
 
     - :attr:`csr`: the graph's symmetric adjacency;
-    - :attr:`sat`: ``sat[i, j]``, whether node ``i`` (a dense index)
-      satisfies modifier M_{j+1};
+    - :attr:`bits`: one integer per node (a dense index), whose bit j
+      is set when the node satisfies modifier M_{j+1}, so that a walk
+      reads a node's flag for any matched-prefix length k with one
+      gather, ``bits[i] >> k & 1``;
     - :attr:`start`: the nodes that can open a relevant instance (they
       satisfy M_1 and, when f_P is that node's attribute, f_P is not
       null);
@@ -121,12 +123,13 @@ class WalkContext:
         ids = nodes["id"].to_numpy()
         src, dst = adj["src"].to_numpy(), adj["dst"].to_numpy()
         self.csr = CSR.build(ids, src, dst)
-        # A null flag (e.g. a missing attribute) does not satisfy.
-        self.sat = nodes[sat_names].to_numpy(dtype=bool, na_value=False)
+        # ok[i, j]: node i satisfies M_{j+1}; a null flag (e.g. a missing
+        # attribute) does not.
+        ok = nodes[sat_names].to_numpy(dtype=bool, na_value=False)
+        self.bits = ok @ (1 << np.arange(len(mods)))
         self.f = nodes["f"].to_numpy(dtype=float) if node_f else None
 
-        # ok[i, j]: node i can take path position j.
-        ok = self.sat.copy()
+        # Now ok[i, j]: node i can take path position j.
         if node_f:
             ok[:, f.position] &= ~np.isnan(self.f)
         self.start = ok[:, 0]
@@ -151,7 +154,7 @@ def _advancement_probs(cfg: WalkConfig, ctx: WalkContext, cur: np.ndarray) -> np
     if cfg.weights == "degree":
         w = np.maximum(ctx.csr.deg[cur], 1).astype(float)
     else:  # phase
-        w = np.where(ctx.sat[cur, 0], W_H, W_L)
+        w = np.where(ctx.bits[cur] & 1, W_H, W_L)
     return np.minimum(1.0, m * w / w.sum())
 
 
@@ -195,20 +198,20 @@ def _choose(
     ``k[walker]`` is the walker's matched-prefix length. Returns
     ``(walker, dst, new_k)``, one row per walker, with k after the move.
     """
+    key = rng.standard_exponential(len(dst))
     if cfg.weights != "phase":
-        w, new_k = np.ones(len(dst)), np.zeros(len(dst), dtype=np.int64)
-    else:
-        L = ctx.sat.shape[1]
-        # Fig. 3 generalized: w_h if the candidate continues the matched
-        # modifier prefix (or restarts a match at M_1), else w_l. The
-        # walker's k realizes the 2nd/higher-order dependence for paths.
-        kw, sat = k[walker], ctx.sat[dst]
-        continues = (kw < L) & sat[np.arange(len(dst)), np.minimum(kw, L - 1)]
-        restarts = sat[:, 0]
-        w = np.where(continues | restarts, W_H, W_L)
-        new_k = np.where(continues, kw + 1, restarts.astype(np.int64))
-    win = argmin_in_group(walker, rng.standard_exponential(len(dst)) / w)
-    return walker[win], dst[win], new_k[win]
+        win = argmin_in_group(walker, key)
+        return walker[win], dst[win], np.zeros(len(win), dtype=np.int64)
+    # Fig. 3 generalized: w_h if the candidate continues the matched
+    # modifier prefix (bit k, clear for k = L) or restarts a match at M_1
+    # (bit 0), else w_l. The walker's k realizes the 2nd/higher-order
+    # dependence for paths.
+    bits = ctx.bits[dst]
+    w = np.where((bits >> k[walker] | bits) & 1, W_H, W_L)
+    win = argmin_in_group(walker, key / w)
+    walker, dst, bits = walker[win], dst[win], bits[win]
+    kw = k[walker]
+    return walker, dst, np.where(bits >> kw & 1, kw + 1, bits & 1)
 
 
 @dataclass
@@ -248,7 +251,7 @@ def run_walk(
         M_1, else 0."""
         prev[w] = cur[w]
         cur[w] = dst
-        k[w] = ctx.sat[dst, 0] if new_k is None else new_k
+        k[w] = ctx.bits[dst] & 1 if new_k is None else new_k
         visited[dst] = True
 
     move(np.arange(m), rng.choice(n, size=m, replace=False))

@@ -58,6 +58,15 @@ def test_no_caps_draws_nothing(csr):
     assert rng.bit_generator.state == before
 
 
+def _lexsort_rank(group, key):
+    """Reference rank for any keys: a two-key lexsort, ties by position."""
+    order = np.lexsort((key, group))
+    g = group[order]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order)) - np.searchsorted(g, g)
+    return rank
+
+
 def _grouped(rng, groups, size, keys):
     """Random group labels in contiguous runs (some groups absent) and
     keys drawn by ``keys(rng, n)``."""
@@ -74,8 +83,22 @@ def test_argmin_in_group_is_rank_zero(keys):
     rng = np.random.default_rng(7)
     for _ in range(200):
         group, key = _grouped(rng, int(rng.integers(1, 12)), 9, keys)
-        want = np.flatnonzero(rank_in_group(group, key) == 0)
+        want = np.flatnonzero(_lexsort_rank(group, key) == 0)
         assert (argmin_in_group(group, key) == want).all()
+
+
+def test_rank_in_group_matches_lexsort_on_uniform_keys():
+    # The contract rank_in_group keeps: uniform keys in [0, 1), groups in
+    # contiguous ascending runs (some labels absent), as CSR.unvisited
+    # passes its over-cap owners.
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 10_000:
+        groups = int(np.exp(rng.uniform(0, np.log(2_000))))
+        group, key = _grouped(rng, groups, 6, lambda rng, n: rng.random(n))
+        if len(group):
+            assert (rank_in_group(group, key) == _lexsort_rank(group, key)).all()
+            checked += 1
 
 
 def test_argmin_in_group_empty():
@@ -86,7 +109,7 @@ def test_argmin_in_group_empty():
 def _unvisited_ranked(csr, rows, visited, caps, rng):
     """Reference capped draw: rank a uniform key in every group."""
     owner, nbr = csr.unvisited(rows, visited)
-    keep = rank_in_group(owner, rng.random(len(nbr))) < caps[owner]
+    keep = _lexsort_rank(owner, rng.random(len(nbr))) < caps[owner]
     return owner[keep], nbr[keep]
 
 
@@ -107,3 +130,30 @@ def test_capped_unvisited_draws_one_key_per_candidate(csr):
     csr.unvisited(rows, visited, np.full(csr.n, 2), rng)
     ref.random(len(csr.unvisited(rows, visited)[1]))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("cap", [1, 7, 20, 45, 50])
+def test_capped_unvisited_keeps_a_uniform_subset_of_a_hub(cap):
+    # A star: hub 0 and 60 leaves, every fourth leaf visited, so the hub
+    # has 45 unvisited neighbors. Every draw keeps min(cap, 45) of them,
+    # and each leaf is kept with frequency cap / 45. Over these R = 4,000
+    # seeds, caps 1, 7 and 20 came at most 2.9 binomial standard errors
+    # from it on any leaf; the bound here is 4.5.
+    leaves = np.arange(1, 61)
+    hub = np.zeros(60, dtype=np.int64)
+    star = CSR.build(np.arange(61), np.r_[hub, leaves], np.r_[leaves, hub])
+    visited = np.zeros(61, dtype=bool)
+    visited[1::4] = True
+    pool = np.flatnonzero(~visited)[1:]
+    assert len(pool) == 45 and star.deg[0] == 60
+    R = 4_000
+    kept = np.zeros(61)
+    for r in range(R):
+        owner, nbr = star.unvisited(
+            np.array([0]), visited, np.array([cap]), np.random.default_rng(r))
+        assert len(nbr) == min(cap, 45) and (owner == 0).all()
+        assert len(np.unique(nbr)) == len(nbr) and not visited[nbr].any()
+        kept[nbr] += 1
+    p = min(cap, 45) / 45
+    se = np.sqrt(p * (1 - p) / R)
+    assert np.abs(kept[pool] / R - p).max() <= 4.5 * se

@@ -32,7 +32,7 @@ class TestPredicate:
 
     def test_missing_attr_is_false(self, spark):
         # Node 2's flag is None. ``flag != on`` reads a null there, and
-        # the context's sat flags must hold False for it.
+        # the context's M_1 bit must be clear for it.
         g = PropertyGraph.from_tables(
             spark,
             {"t": pd.DataFrame({"id": [1, 2, 3], "flag": ["on", None, "off"]})},
@@ -43,7 +43,7 @@ class TestPredicate:
             AttrRef("node", 0, None), Agg.COUNT, Op.GT, 0.0,
         )
         ctx = WalkContext(g, hyp)
-        assert ctx.sat[ctx.csr.index([1, 2, 3]), 0].tolist() == [False, False, True]
+        assert (ctx.bits[ctx.csr.index([1, 2, 3])] & 1 == 1).tolist() == [False, False, True]
         g.unpersist()
 
     @pytest.mark.parametrize(

@@ -59,7 +59,7 @@ def toy_edge_ctx(toy_graph, toy_hyps):
 class TestWalkContext:
     def test_hypothesis_flags(self, toy_edge_ctx):
         ctx = toy_edge_ctx
-        assert ctx.sat[ctx.csr.index([1, 2, 3]), 0].tolist() == [True, True, False]
+        assert (ctx.bits[ctx.csr.index([1, 2, 3])] & 1 == 1).tolist() == [True, True, False]
 
     def test_degrees_exposed(self, toy_edge_ctx):
         ctx = toy_edge_ctx
@@ -194,7 +194,7 @@ def star_ctx(spark):
 
 def _walkers_on_centre(ctx, walkers):
     cur = np.full(walkers, ctx.csr.index(0))
-    return cur, np.full(walkers, -1), ctx.sat[cur, 0].astype(np.int64)
+    return cur, np.full(walkers, -1), ctx.bits[cur] & 1
 
 
 class TestTransitionDistribution:
