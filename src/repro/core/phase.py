@@ -18,8 +18,11 @@ choice:
 
 1. Optim 2 — non-backtracking over the whole sample: N' = N[v] - V_S.
 2. Optim 1 — examine only min(|N'|, n) uniformly sampled neighbors of
-   N'. This bounds the weighted choice, not the step: the step still
-   gathers and filters all of N[v], so it costs O(deg(v)).
+   N'. On a node of degree above ``DRAW * n`` the step reads ``DRAW * n``
+   random neighbor slots and keeps the first n distinct unvisited ones,
+   so it costs O(n) whatever deg(v); on any other node, or when those
+   slots hold fewer than n, it reads all of N[v]
+   (:meth:`~repro.graph.csr.CSR.unvisited`).
 
 Paper defaults (§4.1): m=50, w_h=10, w_l=0.1 and n=30 are the engine's
 constants ``M``, ``W_H``, ``W_L`` and ``N``.

@@ -32,7 +32,7 @@ def expand_frontier(
     # Draw in ascending index order whatever the frontier order; each cap
     # moves with its parent.
     order = np.argsort(frontier)
-    _, dst = csr.unvisited(frontier[order], visited, caps[order], rng)
+    _, dst, _ = csr.unvisited(frontier[order], visited, caps[order], rng)
     return np.unique(dst)
 
 
@@ -47,7 +47,7 @@ def bfs_parents(csr: CSR, root: int, *, max_depth: int) -> np.ndarray:
     parent[root] = root
     frontier = np.array([root])
     for _ in range(max_depth):
-        owner, dst = csr.unvisited(frontier, parent >= 0)
+        owner, dst, _ = csr.unvisited(frontier, parent >= 0)
         # The frontier is ascending, so a node's first occurrence
         # carries its smallest parent.
         dst, first = np.unique(dst, return_index=True)

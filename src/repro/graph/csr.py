@@ -13,6 +13,11 @@ from typing import Optional
 
 import numpy as np
 
+# A capped row of degree above DRAW times its cap draws that many slots
+# instead of reading its whole slice: O(cap) per row, Algorithm 2's
+# examination of n random neighbors as the paper costs it.
+DRAW = 3
+
 
 @dataclass(frozen=True)
 class CSR:
@@ -81,27 +86,79 @@ class CSR:
         visited: np.ndarray,
         caps: Optional[np.ndarray] = None,
         rng: Optional[np.random.Generator] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, int]:
         """Neighbors of ``rows`` outside the ``visited`` bitmap, as
-        ``(owner, nbr)`` ordered as :meth:`gather`.
+        ``(owner, nbr, examined)``: ``nbr[j]`` belongs to ``rows[owner[j]]``,
+        each owner's neighbors one contiguous run, owners ascending, and
+        ``examined`` counts the neighbor slots read.
 
-        With ``caps``, row ``j`` keeps at most ``caps[j]`` of them, a
-        uniform subset drawn with ``rng`` (Algorithm 2's n-cap, the SBS
-        fan-out, the FFS burn count); without, nothing is drawn. Every
-        candidate gets a uniform key, but only the rows of an owner over
-        its cap are ranked: the others keep all of theirs.
+        Without ``caps`` every row reads its whole slice, its neighbors in
+        ascending index, and nothing is drawn. With ``caps``, row ``j``
+        keeps at most ``caps[j]`` of them, a uniform subset drawn with
+        ``rng`` (Algorithm 2's n-cap, the SBS fan-out, the FFS burn count):
+
+        - a row of degree above ``DRAW * caps[j]`` reads only that many
+          slots, drawn with replacement, and keeps the first ``caps[j]``
+          distinct unvisited ones in draw order: an exchangeable sequence,
+          so a uniform subset;
+        - every other row, and a drawn row that found fewer than
+          ``caps[j]``, reads its whole slice and gives each unvisited
+          neighbor a fresh uniform key; a row over its cap keeps its
+          ``caps[j]`` smallest keys, in ascending neighbor index.
         """
-        owner, nbr = self.gather(rows)
+        examined = 0
+        whole = np.ones(len(rows), dtype=bool)
+        if caps is not None:
+            deg = self.deg[rows]
+            drawn = np.flatnonzero(deg > DRAW * caps)
+            if len(drawn):
+                fast, short, examined = self._draw(
+                    rows, drawn, deg, visited, caps, rng
+                )
+                whole[drawn] = short
+        rest = np.flatnonzero(whole)
+        owner, pos = self.slots(rows[rest])
+        examined += len(pos)
+        nbr = self.nbr[pos]
         keep = ~visited[nbr]
-        owner, nbr = owner[keep], nbr[keep]
+        owner, nbr = rest[owner[keep]], nbr[keep]
         if caps is not None:
             key = rng.random(len(nbr))
             over = (np.bincount(owner, minlength=len(rows)) > caps)[owner]
-            keep = ~over
-            o = owner[over]
-            keep[over] = rank_in_group(o, key[over]) < caps[o]
-            owner, nbr = owner[keep], nbr[keep]
-        return owner, nbr
+            if over.any():
+                keep = ~over
+                o = owner[over]
+                keep[over] = rank_in_group(o, key[over]) < caps[o]
+                owner, nbr = owner[keep], nbr[keep]
+            if len(rest) < len(rows):
+                owner = np.concatenate((fast[0], owner))
+                nbr = np.concatenate((fast[1], nbr))
+                # Two owner-sorted runs: the stable sort merges them.
+                order = np.argsort(owner, kind="stable")
+                owner, nbr = owner[order], nbr[order]
+        return owner, nbr, examined
+
+    def _draw(self, rows, drawn, deg, visited, caps, rng):
+        """The slot draw of :meth:`unvisited` for the rows ``rows[drawn]``:
+        ``((owner, nbr), short, examined)``, where ``short`` flags the rows
+        that found fewer than their cap and must read their whole slice."""
+        owner = np.repeat(drawn, DRAW * caps[drawn])
+        examined = len(owner)
+        # floor(u * deg) < deg for every u in [0, 1) and integer deg < 2**53.
+        pos = self.indptr[rows[owner]] + (
+            rng.random(examined) * deg[owner]
+        ).astype(np.int64)
+        nbr = self.nbr[pos]
+        keep = ~visited[nbr]
+        owner, pos, nbr = owner[keep], pos[keep], nbr[keep]
+        # The first draw of each slot per owner: two owners may be one node.
+        _, first = np.unique(owner * len(self.nbr) + pos, return_index=True)
+        first.sort()
+        owner, nbr = owner[first], nbr[first]
+        rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        found = np.bincount(owner, minlength=len(rows)) >= caps
+        keep = (rank < caps[owner]) & found[owner]
+        return (owner[keep], nbr[keep]), ~found[drawn], examined
 
 
 def rank_in_group(group: np.ndarray, key: np.ndarray) -> np.ndarray:

@@ -165,22 +165,26 @@ def _candidates(
     prev: np.ndarray,
     visited: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate moves ``(walker, dst)`` of walkers on ``cur``.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Candidate moves ``(walker, dst, examined)`` of walkers on ``cur``,
+    with the number of neighbor slots read to find them.
 
     ``walker`` indexes ``cur``, each walker's candidates one contiguous
     run. Under Algorithm 2 they are at most ``N`` uniformly chosen
     neighbors outside the ``visited`` bitmap; that also rules out
-    ``prev``, which is always in V_S. Otherwise they are all neighbors,
-    less ``prev`` for NBRW.
+    ``prev``, which is always in V_S. A walker on a node of degree above
+    ``DRAW * N`` (:data:`repro.graph.csr.DRAW`) reads only that many
+    slots, unless they hold fewer than ``N`` unvisited neighbors.
+    Otherwise the candidates are all neighbors, less ``prev`` for NBRW.
     """
     if cfg.algorithm2:
         return ctx.csr.unvisited(cur, visited, np.full(len(cur), N), rng)
     walker, dst = ctx.csr.gather(cur)
+    examined = len(dst)
     if cfg.non_backtracking:
         keep = dst != prev[walker]
         walker, dst = walker[keep], dst[keep]
-    return walker, dst
+    return walker, dst, examined
 
 
 def _choose(
@@ -221,6 +225,7 @@ class WalkResult:
     node_ids: list[int]
     supersteps: int
     teleports: int
+    examined: int  # neighbor slots the candidate steps read
 
 
 def run_walk(
@@ -256,7 +261,7 @@ def run_walk(
 
     move(np.arange(m), rng.choice(n, size=m, replace=False))
     seed_node = cur.copy()
-    teleports = 0
+    teleports = examined = 0
     step = 0
 
     while np.count_nonzero(visited) < target and step < MAX_SUPERSTEPS:
@@ -272,9 +277,10 @@ def run_walk(
             move(r, seed_node[r])
             adv_idx = adv_idx[~restart]
 
-        walker, dst = _candidates(
+        walker, dst, read = _candidates(
             cfg, ctx, cur[adv_idx], prev[adv_idx], visited, rng
         )
+        examined += read
         walker, dst, new_k = _choose(cfg, ctx, walker, dst, k[adv_idx], rng)
         moved = adv_idx[walker]
         stuck = np.ones(len(adv_idx), dtype=bool)
@@ -291,11 +297,12 @@ def run_walk(
 
         # Dead ends (no candidate survived the filters): teleport to a
         # fresh random node so the walk keeps covering the graph.
-        move(dead, rng.integers(n, size=len(dead)))
-        teleports += len(dead)
+        if len(dead):
+            move(dead, rng.integers(n, size=len(dead)))
+            teleports += len(dead)
 
     out = np.flatnonzero(visited)
     if len(out) > budget:
         # Trim overshoot from the final superstep for exact-budget S.
         out = rng.choice(out, size=budget, replace=False)
-    return WalkResult(ctx.csr.ids[out].tolist(), step, teleports)
+    return WalkResult(ctx.csr.ids[out].tolist(), step, teleports, examined)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -149,6 +150,14 @@ def t_ppf(q: float, df: float) -> float:
     raise RuntimeError(f"t_ppf did not converge for q={q}, df={df}")
 
 
+@lru_cache(maxsize=None)
+def _t_975(df: int) -> float:
+    """The two-sided 95% quantile ``t_ppf(0.975, df)``, memoized: every
+    test with n >= 2 and some spread asks for it, and df = n - 1 is below
+    the sample size, so the cache holds few entries."""
+    return t_ppf(0.975, df)
+
+
 @dataclass(frozen=True)
 class TTestResult:
     """Outcome of a one-sample t-test against the constant ``c``."""
@@ -205,5 +214,5 @@ def ttest_from_stats(
         p = 2.0 * t_sf(abs(t), df)
     else:
         raise ValueError(f"unknown alternative: {alternative!r}")
-    tq = t_ppf(0.975, df)  # two-sided 95% interval
+    tq = _t_975(df)  # two-sided 95% interval
     return TTestResult(n, mean, std, t, p, mean - tq * se, mean + tq * se)

@@ -2,16 +2,20 @@
 reusing one session-scoped run each) plus sampler-specific behavior."""
 import hashlib
 
+import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.estimator import estimate
 from repro.core.hypothesis import Agg, AttrRef, Modifier, Op, path_hypothesis
 from repro.core.phase import PHASE_OPT
 from repro.datasets.bank import bank
+from repro.graph.csr import CSR
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.walk_engine import WalkConfig, WalkContext, run_walk
 from repro.samplers import AGNOSTIC, ALL, SAMPLERS, get_sampler
 from tests.conftest import SAMPLE_BUDGET, SAMPLE_SEED
+from tests.reference_draw import gather_rank_keep
 
 ALL_NAMES = sorted(SAMPLERS)
 
@@ -64,16 +68,16 @@ class TestInvariants:
 # this table and says so.
 PINNED_VS = {
     "DBS": "44df40fdfdb8c8312d08d6cda3246b3af252a21b",
-    "FFS": "3837857346f06fd9822ceb08f70d854304d2fac2",
+    "FFS": "470d4dbfa6259bebce285d094c18753fd67e74a4",
     "FrontierS": "968089228d97096990f48b0f52734695fd35b643",
     "MHRW": "cccba02b2bd41c5730d0e15b1ddb86fdd5b4cad0",
     "NBRW": "1fed0bb566a322ec16917fe82ad752097a6b997c",
     "PHASE": "eff5b3878f50722a3a1c2457d43061a0d02ad433",
-    "PHASE_opt": "63421180b1471d1fd99442e423ccecca3c59d274",
+    "PHASE_opt": "2691fb1675f6bba7b19423758f8a4f788f0aacfd",
     "RES": "fc869918e620ef1db18464f23e1706e4f8ec986f",
     "RNS": "755145e4ee6b579ee27e6927481a937a03d163bd",
     "RWR": "7a05d1be223d3abe6e267d4993bd37a9e76893bf",
-    "SBS": "c336927da74b2288446d6fe650113b37128ea2d8",
+    "SBS": "b2be0c954b269dd7b1f289b98e5a30bef9833c3c",
     "SRW": "d03d9bfff537870d03ee342fb7f577d8005f74aa",
     "ShortestPathS": "dcac5273232562ab088b364e54576d2186a22557",
 }
@@ -94,12 +98,15 @@ def test_vs_pinned_per_seed(sampler_runs):
 # hubs, so PHASE_opt's and SBS's caps cut rows short and RWR restarts.
 # The digests were computed with the lexsort-based race, n-cap and
 # dead-walker set difference, before those became sort-free, and
-# ShortestPathS's with one depth-4 bfs_parents per source.
+# ShortestPathS's with one depth-4 bfs_parents per source. Those of
+# PHASE_opt, SBS and FFS, the samplers that cap their neighbor draw, were
+# recomputed when hub rows began to draw slots, once
+# ``test_slot_draw_keeps_the_sample_distribution`` passed.
 DBLP_PINNED_VS = {
-    ("FFS", 28, 0): "35fc66f0162298f577d6d35e57434b7461438b9c",
-    ("FFS", 28, 1): "f477d8235de9ad10a578c78432d450a7559d0cff",
-    ("FFS", 142, 0): "36e964fc2f4a506de15caa5dbeeb08a0db834f4a",
-    ("FFS", 142, 1): "c443465b3b90c1379cd19a3d2c713beaf2450742",
+    ("FFS", 28, 0): "f0363c93aaaf48328672c95bc68e41d804ee91c8",
+    ("FFS", 28, 1): "0f7767260865e853f721c1a8e2fd866f8e07a398",
+    ("FFS", 142, 0): "1151b6c18834085604f44bd3db7f659c226a1324",
+    ("FFS", 142, 1): "1fc22723912be6cccf45050968eb165328b65b5a",
     ("MHRW", 28, 0): "96cc250ff8680c2dc5b80bb1809b07ff8d297e3d",
     ("MHRW", 28, 1): "63ee70aea8566df79ba5aa2557e3e1487633967d",
     ("MHRW", 142, 0): "b7fee1a728908f66563fd60d0227a079e0130037",
@@ -108,18 +115,18 @@ DBLP_PINNED_VS = {
     ("PHASE", 28, 1): "341a7c0668e0f5f0213b4ea886c6eea939aaa02e",
     ("PHASE", 142, 0): "70f281a8e6dba9ac122b6ea709660167cb51ccdc",
     ("PHASE", 142, 1): "b648d8fdda27330fdc135a1363d59e66d8747abb",
-    ("PHASE_opt", 28, 0): "3478d2ec52891d653a226efb42fe0d668ca702c1",
-    ("PHASE_opt", 28, 1): "97ee08a61de4a34aa308d50849b263319e4bc3b7",
-    ("PHASE_opt", 142, 0): "22a65ad0d5c6642d9de3aeeeebfa2d24a88b6341",
-    ("PHASE_opt", 142, 1): "e1e294ee1c5e62acf6ccd9837ad98adffd174be3",
+    ("PHASE_opt", 28, 0): "3e8a96182fff749750dcd28e755f624eab61dc45",
+    ("PHASE_opt", 28, 1): "b23f4522618dd4efd979e579674a588a25bc2ad6",
+    ("PHASE_opt", 142, 0): "042589547d8e1910283647f0f1bb98695b5a6439",
+    ("PHASE_opt", 142, 1): "673930cd4d0f14bccb3f99a0a9a7676798f32f2c",
     ("RWR", 28, 0): "e215713d524842f788c286a65d2ef619cccf7240",
     ("RWR", 28, 1): "edfe66b39b8bbb1d0520d8ac2fa11dfc86bc479f",
     ("RWR", 142, 0): "0787b9b1d578efa6de99846d889687951382fe43",
     ("RWR", 142, 1): "23e81d2be84b148a5a4308b31799f30b9f0cf31f",
-    ("SBS", 28, 0): "dfb2fddbe67341e8a318aa99244f9590e573c75b",
-    ("SBS", 28, 1): "0e227c7ed37303cafc92393f84e0b9739d05efb6",
-    ("SBS", 142, 0): "b817a08f1eb8292bdc739a823b80d5706780d1a0",
-    ("SBS", 142, 1): "1291e9365999f9782486318bb52431f54ac50dda",
+    ("SBS", 28, 0): "1feb9fe3c44b9ea56eeeaccfa9a11c59796bc03b",
+    ("SBS", 28, 1): "fbe72b4c5ef534aea6b153a76c998db5966068db",
+    ("SBS", 142, 0): "4fb0456eedf33517581db2c0777133599cde67f5",
+    ("SBS", 142, 1): "10a7f4597faf2438828a91ae7a41bd4253aaca94",
     ("ShortestPathS", 28, 0): "8711bbd57623d18f30479f328d9a40f7e6695179",
     ("ShortestPathS", 28, 1): "ccac25a3731bd2b0cbfdacead149b67b38c89c75",
     ("ShortestPathS", 142, 0): "cfaf3d4a88f3e483462b858d4a2fcc329c7502ce",
@@ -138,6 +145,39 @@ def test_vs_pinned_per_seed_dblp(dblp):
             get_sampler(name).sample(ctx, budget, seed=seed)
         )
     assert got == DBLP_PINNED_VS
+
+
+@pytest.mark.parametrize("name", ["PHASE_opt", "SBS", "FFS"])
+def test_slot_draw_keeps_the_sample_distribution(dblp, monkeypatch, name):
+    # The samplers that cap their neighbor draw, run on seeds 0-299 with
+    # CSR.unvisited and again with the full-slice reference it replaced,
+    # on DB-P1 at B = 10% of |V|, where hubs exceed DRAW * cap. Their V_S
+    # must agree in distribution on three statistics: the M_1 share of
+    # V_S, the relevant instances in S, and the mean degree. Welch's t per
+    # statistic; over five blocks of 200 seeds the largest |t| seen was
+    # 1.86, and the bound here is 4.
+    hyp = next(h for h in bank("DBLP")["path"] if h.name == "DB-P1")
+    ctx = WalkContext(dblp.graph, hyp)
+    budget = int(0.10 * ctx.csr.n)
+
+    def statistics():
+        rows = []
+        for seed in range(300):
+            ids = get_sampler(name).sample(ctx, budget, seed=seed)
+            i = ctx.csr.index(ids)
+            rows.append([
+                np.mean(ctx.bits[i] & 1),
+                estimate(ctx, ids).n_instances,
+                ctx.csr.deg[i].mean(),
+            ])
+        return np.array(rows)
+
+    new = statistics()
+    monkeypatch.setattr(CSR, "unvisited", gather_rank_keep)
+    ref = statistics()
+    se = np.sqrt(new.var(0, ddof=1) / len(new) + ref.var(0, ddof=1) / len(ref))
+    t = (new.mean(0) - ref.mean(0)) / se
+    assert (np.abs(t) <= 4).all(), t
 
 
 @pytest.fixture(scope="module")

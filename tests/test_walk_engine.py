@@ -1,4 +1,6 @@
 """Tests for the batched multi-walker walk engine over the driver-side CSR."""
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -14,6 +16,7 @@ from repro.core.hypothesis import (
 )
 from repro.core.phase import PHASE, PHASE_OPT
 from repro.datasets.bank import bank
+from repro.graph.csr import DRAW
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.walk_engine import (
     N,
@@ -171,24 +174,28 @@ class TestRunWalk:
 STAR_A, STAR_B = 2, 100
 
 
-@pytest.fixture(scope="module")
-def star_ctx(spark):
-    leaves = np.arange(1, STAR_A + STAR_B + 1)
-    g = PropertyGraph.from_tables(
+def _star_graph(spark, a, b):
+    leaves = np.arange(1, a + b + 1)
+    return PropertyGraph.from_tables(
         spark,
         {
             "c": pd.DataFrame({"id": [0]}),
-            "l": pd.DataFrame(
-                {"id": leaves, "flag": ["on"] * STAR_A + ["off"] * STAR_B}
-            ),
+            "l": pd.DataFrame({"id": leaves, "flag": ["on"] * a + ["off"] * b}),
         },
         {"e": pd.DataFrame({"src": np.zeros_like(leaves), "dst": leaves})},
     )
-    hyp = path_hypothesis(
-        "star", [Modifier("c"), Modifier("l", (Predicate("flag", "==", "on"),))],
-        ["e"], AttrRef("node", 0, None), Agg.COUNT, Op.GT, 0.0,
-    )
-    yield WalkContext(g, hyp)
+
+
+STAR_HYP = path_hypothesis(
+    "star", [Modifier("c"), Modifier("l", (Predicate("flag", "==", "on"),))],
+    ["e"], AttrRef("node", 0, None), Agg.COUNT, Op.GT, 0.0,
+)
+
+
+@pytest.fixture(scope="module")
+def star_ctx(spark):
+    g = _star_graph(spark, STAR_A, STAR_B)
+    yield WalkContext(g, STAR_HYP)
     g.unpersist()
 
 
@@ -205,7 +212,7 @@ class TestTransitionDistribution:
         cur, prev, k = _walkers_on_centre(star_ctx, draws)
         assert (k == 1).all()
         visited = np.zeros(star_ctx.csr.n, dtype=bool)
-        walker, dst = _candidates(cfg, star_ctx, cur, prev, visited, rng)
+        walker, dst, _ = _candidates(cfg, star_ctx, cur, prev, visited, rng)
         walker, dst, new_k = _choose(cfg, star_ctx, walker, dst, k, rng)
         assert (np.sort(walker) == np.arange(draws)).all()  # one move each
         on = star_ctx.csr.ids[dst] <= STAR_A
@@ -223,7 +230,7 @@ class TestTransitionDistribution:
         visited = np.zeros(star_ctx.csr.n, dtype=bool)
         in_vs = star_ctx.csr.index(np.arange(1, STAR_A + STAR_B + 1, 5))
         visited[in_vs] = True
-        walker, dst = _candidates(cfg, star_ctx, cur, prev, visited, rng)
+        walker, dst, _ = _candidates(cfg, star_ctx, cur, prev, visited, rng)
         per_walker = np.bincount(walker, minlength=walkers)
         assert (per_walker == N).all()  # 81 survivors >= n
         assert not visited[dst].any()
@@ -235,3 +242,58 @@ class TestTransitionDistribution:
         assert (np.abs(counts - mean) < 5 * sd).all()
         _, chosen, _ = _choose(cfg, star_ctx, walker, dst, k, rng)
         assert not visited[chosen].any()
+
+    def test_restart_at_m1_weighs_w_h(self):
+        # Fig. 3's restart term: under a path of length 1 a walker with
+        # k = 1 weighs a candidate that satisfies M_1 but not M_2 by w_h,
+        # though it does not continue the prefix, and its k restarts at 1.
+        # Candidate 0 satisfies M_1 only, candidate 1 neither.
+        ctx = SimpleNamespace(bits=np.array([0b01, 0b00]))
+        draws = 4000
+        walker = np.repeat(np.arange(draws), 2)
+        dst = np.tile([0, 1], draws)
+        k = np.ones(draws, dtype=np.int64)
+        rng = np.random.default_rng(2)
+        _, dst, new_k = _choose(PHASE, ctx, walker, dst, k, rng)
+        restart = dst == 0
+        p = W_H / (W_H + W_L)
+        sigma = np.sqrt(p * (1 - p) / draws)
+        assert abs(restart.mean() - p) < 4 * sigma
+        assert (new_k[restart] == 1).all() and (new_k[~restart] == 0).all()
+
+
+class TestExamined:
+    """``WalkResult.examined``: the neighbor slots the candidate steps
+    read. On a hub PHASE reads the whole slice, PHASE_opt ``DRAW * N``."""
+
+    @pytest.fixture(scope="class")
+    def hubs(self, spark):
+        graphs = {deg: _star_graph(spark, STAR_A, deg - STAR_A) for deg in (100, 10_000)}
+        yield {deg: WalkContext(g, STAR_HYP) for deg, g in graphs.items()}
+        for g in graphs.values():
+            g.unpersist()
+
+    def test_candidate_step_reads_o_n_slots_on_a_hub(self, hubs):
+        walkers = 40
+        for deg, ctx in hubs.items():
+            cur, prev, _ = _walkers_on_centre(ctx, walkers)
+            visited = np.zeros(ctx.csr.n, dtype=bool)
+            rng = np.random.default_rng(3)
+            *_, opt = _candidates(PHASE_OPT, ctx, cur, prev, visited, rng)
+            *_, plain = _candidates(PHASE, ctx, cur, prev, visited, rng)
+            assert opt == walkers * DRAW * N
+            assert plain == walkers * deg
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_walk_reads_o_n_slots_per_advancing_walker(self, hubs, seed):
+        budget = 20
+        m = budget // 6  # the walkers run_walk starts at this budget
+        read = {}
+        for deg, ctx in hubs.items():
+            for cfg in (PHASE, PHASE_OPT):
+                res = run_walk(ctx, cfg, budget, seed=seed)
+                read[cfg.algorithm2, deg] = res.examined
+                # A walker advances at most once per superstep.
+                if cfg.algorithm2:
+                    assert res.examined <= DRAW * N * m * res.supersteps
+        assert read[False, 10_000] > 10 * read[False, 100]
