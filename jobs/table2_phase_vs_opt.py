@@ -21,11 +21,10 @@ from repro.experiments import load_dataset, table2  # noqa: E402
 from repro.graph.walk_engine import WalkContext, run_walk  # noqa: E402
 
 
-def walk_costs(spark, *, sf: float, proportion: float, runs: int) -> pd.DataFrame:
-    """Per Table-2 cell, the mean over seeds 0 … runs − 1 (the timed runs'
-    seeds) of the walk's supersteps and examined slots, and the walk's
-    time per superstep in ms."""
-    ds = load_dataset(spark, "DBLP", sf)
+def walk_costs(ds, *, proportion: float, runs: int) -> pd.DataFrame:
+    """Per Table-2 cell on ``ds``, the mean over seeds 0 … runs − 1 (the
+    timed runs' seeds) of the walk's supersteps and examined slots, and
+    the walk's time per superstep in ms."""
     budget = max(20, int(proportion * ds.graph.num_nodes()))
     rows = []
     for kind, hyps in bank("DBLP").items():
@@ -40,7 +39,6 @@ def walk_costs(spark, *, sf: float, proportion: float, runs: int) -> pd.DataFram
                 examined += res.examined
             rows.append([kind.capitalize(), name, steps / runs, examined / runs,
                          1e3 * seconds / steps])
-    ds.graph.unpersist()
     return pd.DataFrame(
         rows, columns=["Type", "Sampler", "Supersteps", "Examined", "ms/superstep"]
     )
@@ -49,14 +47,15 @@ def walk_costs(spark, *, sf: float, proportion: float, runs: int) -> pd.DataFram
 def main() -> None:
     spark = get_spark("table2")
     knobs = dict(
-        sf=env_float("REPRO_SF", 1.0),
         proportion=env_float("REPRO_PROPORTION", 0.02),
         runs=env_int("REPRO_RUNS", 30),
     )
-    df = table2(spark, **knobs)
+    ds = load_dataset(spark, "DBLP", env_float("REPRO_SF", 1.0))
+    df = table2(spark, ds, **knobs)
     print(df.to_string(index=False))
-    walks = walk_costs(spark, **knobs)
+    walks = walk_costs(ds, **knobs)
     print(walks.round(4).to_string(index=False))
+    ds.graph.unpersist()
     os.makedirs("results", exist_ok=True)
     df.to_csv("results/table2.csv", index=False)
     walks.round(4).to_csv("results/table2_walks.csv", index=False)

@@ -74,26 +74,25 @@ COLUMNS = [
 
 def cells(
     spark: SparkSession,
-    dataset: str,
+    ds: Dataset,
     hyps: Iterable[tuple[object, float, Hypothesis]],
     samplers: Iterable[str],
     *,
     runs: int,
-    sf: float,
 ) -> pd.DataFrame:
-    """One row per (hypothesis, sampler) cell: ``runs`` runs at budget
-    ``max(20, proportion·|V|)``, their accuracy with its Wilson 95% interval
-    (``Lo``, ``Hi``) and average total time over those runs, after one
-    untimed warm-up run. ``hyps`` yields ``(label,
-    proportion, hypothesis)``; the label fills ``Type``."""
-    ds = load_dataset(spark, dataset, sf)
+    """One row per (hypothesis, sampler) cell on ``ds``, which the caller
+    loads and unpersists: ``runs`` runs at budget ``max(20,
+    proportion·|V|)``, their accuracy with its Wilson 95% interval (``Lo``,
+    ``Hi``) and average total time over those runs, after one untimed
+    warm-up run. ``hyps`` yields ``(label, proportion, hypothesis)``; the
+    label fills ``Type``."""
     n_nodes = ds.graph.num_nodes()
     rows = []
     for label, prop, hyp in hyps:
         budget = max(20, int(prop * n_nodes))
         exp = Experiment(spark, ds.graph, hyp)
         truth = exp.truth()
-        tag = f"[{dataset}/{label}]"
+        tag = f"[{ds.name}/{label}]"
         print(
             f"{tag} {hyp.name}: truth={truth.decision} (n="
             f"{truth.estimate.n_instances}, value={truth.estimate.value}) "
@@ -116,9 +115,8 @@ def cells(
                 flush=True,
             )
             rows.append(
-                [dataset, label, prop, budget, hyp.name, sname, acc, lo, hi, k, runs, t]
+                [ds.name, label, prop, budget, hyp.name, sname, acc, lo, hi, k, runs, t]
             )
-    ds.graph.unpersist()
     return pd.DataFrame(rows, columns=COLUMNS)
 
 
@@ -127,16 +125,17 @@ def cells(
 # ---------------------------------------------------------------------
 def table2(
     spark: SparkSession,
+    ds: Dataset,
     *,
-    sf: float = 1.0,
     proportion: float = 0.02,
     runs: int = 3,
 ) -> pd.DataFrame:
     """PHASE vs PHASE_opt average execution time on DBLP node/edge/path
-    hypotheses (paper Table 2). Uses the first hypothesis of each type."""
+    hypotheses (paper Table 2), on ``ds``, a DBLP-lite. Uses the first
+    hypothesis of each type."""
     samplers = ["PHASE", "PHASE_opt"]
     hyps = [(t.capitalize(), proportion, hs[0]) for t, hs in bank("DBLP").items()]
-    grid = cells(spark, "DBLP", hyps, samplers, runs=runs, sf=sf)
+    grid = cells(spark, ds, hyps, samplers, runs=runs)
     out = grid.pivot(index="Sampler", columns="Type", values="Time")
     out = out.reindex(index=samplers, columns=["Node", "Edge", "Path"]).reset_index()
     out["Budget"] = grid["Budget"].max()
@@ -163,7 +162,9 @@ def accuracy_time_grid(
         hyps = [
             (t, PROPORTIONS[dname, t], h) for t, hs in bank(dname).items() for h in hs
         ]
-        grids.append(cells(spark, dname, hyps, samplers, runs=runs, sf=sf))
+        ds = load_dataset(spark, dname, sf)
+        grids.append(cells(spark, ds, hyps, samplers, runs=runs))
+        ds.graph.unpersist()
     return pd.concat(grids, ignore_index=True)
 
 
@@ -211,6 +212,8 @@ def path_length_sweep(
     """Accuracy (with its Wilson 95% interval) and time for the DBLP
     length-3 and length-4 path hypotheses."""
     hyps = [(length, proportion, h) for length, h in dblp_long_paths().items()]
-    grid = cells(spark, "DBLP", hyps, samplers, runs=runs, sf=sf)
+    ds = load_dataset(spark, "DBLP", sf)
+    grid = cells(spark, ds, hyps, samplers, runs=runs)
+    ds.graph.unpersist()
     grid = grid.rename(columns={"Type": "Length"})
     return grid[["Length", "Sampler", "Accuracy", "Lo", "Hi", "Time"]]

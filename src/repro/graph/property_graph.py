@@ -6,10 +6,12 @@ Schema (paper Def. 1):
 - ``edges``: ``src BIGINT, dst BIGINT, etype STRING, attrs MAP<STRING, STRING>``
 
 Attribute values are stored as strings and cast at use sites (the
-hypothesis layer knows which attributes are numeric). Edges are directed;
-per Def. 1 every relation ``r`` implies its inverse ``r^-1``, so the
-*adjacency* view materializes both directions, suffixing the inverse
-type with ``{INV_SUFFIX}``.
+hypothesis layer knows which attributes are numeric). Edges are directed
+and held once; per Def. 1 every relation ``r`` implies its inverse
+``r^-1``, named ``r`` suffixed with ``INV_SUFFIX``. Spark never
+materializes the inverse: :class:`~repro.graph.walk_engine.WalkContext`
+mirrors the collected edges on the driver, the inverse keeping the
+edge's attributes.
 """
 from __future__ import annotations
 
@@ -65,29 +67,13 @@ class PropertyGraph:
     # Views
     # ------------------------------------------------------------------
     @cached_property
-    def adjacency(self) -> DataFrame:
-        """Symmetric adjacency: each stored edge plus its inverse.
-
-        Columns: ``src, dst, etype, attrs`` — the inverse direction keeps
-        the edge attributes and carries ``etype_inv`` as its type.
-        """
-        fwd = self.edges
-        rev = self.edges.select(
-            F.col("dst").alias("src"),
-            F.col("src").alias("dst"),
-            F.concat(F.col("etype"), F.lit(INV_SUFFIX)).alias("etype"),
-            "attrs",
-        )
-        return fwd.unionByName(rev).cache()
-
-    @cached_property
     def degrees(self) -> DataFrame:
-        """Total (in+out) degree per node: ``id, degree``. Every node has
+        """Total (in+out) degree per node: ``id, degree``, both endpoints
+        of every edge counted (a self-loop twice). Every node has
         degree >= 1 by the paper's connectedness assumption; nodes absent
         from the edge list get degree 0 here (generators avoid them)."""
-        deg = self.adjacency.groupBy(F.col("src").alias("id")).agg(
-            F.count(F.lit(1)).alias("degree")
-        )
+        ends = self.edges.select(F.explode(F.array("src", "dst")).alias("id"))
+        deg = ends.groupBy("id").agg(F.count(F.lit(1)).alias("degree"))
         return (
             self.nodes.select("id")
             .join(deg, "id", "left")
@@ -138,9 +124,8 @@ class PropertyGraph:
         """Release cached DataFrames (graphs built per-test/per-run)."""
         for df in (self.nodes, self.edges):
             df.unpersist()
-        for name in ("adjacency", "degrees"):
-            if name in self.__dict__:
-                self.__dict__[name].unpersist()
+        if "degrees" in self.__dict__:
+            self.degrees.unpersist()
 
 
 def _union_typed(

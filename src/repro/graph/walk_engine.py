@@ -2,13 +2,14 @@
 
 The substrate every random-walk sampler (SRW, NBRW, RWR, MHRW, FrontierS,
 PHASE, PHASE_opt) is configured from. :class:`WalkContext` collects the
-symmetric adjacency and the modifier flags to the driver once per (graph,
-hypothesis) pair, as a :class:`~repro.graph.csr.CSR` and one modifier
-bitmask per node, and builds from the same two collects the hypothesis
-projection the estimator (:mod:`repro.core.estimator`) expands instances
-over; the collected frames are dropped. A superstep is a few numpy
-operations over the advancing walkers' neighbor slices and
-launches no Spark job.
+stored edges and the modifier flags to the driver once per (graph,
+hypothesis) pair and mirrors each edge into its inverse there (Def. 1),
+giving the symmetric adjacency as a :class:`~repro.graph.csr.CSR` and one
+modifier bitmask per node. It builds from the same two collects the
+hypothesis projection the estimator (:mod:`repro.core.estimator`) expands
+instances over; the collected frames are dropped. A superstep is a few
+numpy operations over the advancing walkers' neighbor slices and launches
+no Spark job.
 
 One superstep advances every gated walker at once; every walker chooses
 against V_S as it stood at the start of the superstep. The paper's
@@ -29,7 +30,7 @@ from pyspark.sql import functions as F
 
 from repro.core.hypothesis import Hypothesis
 from repro.graph.csr import CSR, argmin_in_group
-from repro.graph.property_graph import PropertyGraph
+from repro.graph.property_graph import INV_SUFFIX, PropertyGraph
 
 _M = 1_000_000_007
 
@@ -78,7 +79,8 @@ class WalkContext:
     """Per-(graph, hypothesis) state shared by all samplers and the
     estimator, collected to the driver with two Spark jobs.
 
-    - :attr:`csr`: the graph's symmetric adjacency;
+    - :attr:`csr`: the graph's symmetric adjacency, each stored edge
+      and its inverse;
     - :attr:`bits`: one integer per node (a dense index), whose bit j
       is set when the node satisfies modifier M_{j+1}, so that a walk
       reads a node's flag for any matched-prefix length k with one
@@ -108,20 +110,25 @@ class WalkContext:
             m.to_column(F.col("ntype"), F.col("attrs")).alias(name)
             for m, name in zip(mods, sat_names)
         ]
+        # Per step i: has the stored edge (r{i}) or its inverse (r{i}_inv) type r_i?
+        inv = F.concat(F.col("etype"), F.lit(INV_SUFFIX))
         step_cols = [
-            (F.col("etype") == F.lit(s.etype)).alias(f"r{i}")
+            (etype == F.lit(s.etype)).alias(f"r{i}{sfx}")
             for i, s in enumerate(hyp.steps)
+            for etype, sfx in ((F.col("etype"), ""), (inv, "_inv"))
         ]
         nodes = (
             graph.nodes.select("id", *sat_cols, *(f_col if node_f else []))
             .toPandas()
             .sort_values("id")
         )
-        adj = graph.adjacency.select(
+        edges = graph.edges.select(
             "src", "dst", *step_cols, *(f_col if edge_f else [])
         ).toPandas()
         ids = nodes["id"].to_numpy()
-        src, dst = adj["src"].to_numpy(), adj["dst"].to_numpy()
+        # The adjacency rows: every stored edge, then every inverse.
+        src = np.concatenate((edges["src"], edges["dst"]))
+        dst = np.concatenate((edges["dst"], edges["src"]))
         self.csr = CSR.build(ids, src, dst)
         # ok[i, j]: node i satisfies M_{j+1}; a null flag (e.g. a missing
         # attribute) does not.
@@ -136,10 +143,12 @@ class WalkContext:
         d = np.searchsorted(self.csr.ids, dst)
         self.steps = []
         for i in range(hyp.length):
-            keep = adj[f"r{i}"].to_numpy() & ok[d, i + 1]
+            keep = np.concatenate((edges[f"r{i}"], edges[f"r{i}_inv"]))
+            keep &= ok[d, i + 1]
             val = None
             if edge_f and f.position == i:
-                val = adj["f"].to_numpy(dtype=float)
+                # The inverse keeps the edge's attributes.
+                val = np.tile(edges["f"].to_numpy(dtype=float), 2)
                 keep &= ~np.isnan(val)
                 val = val[keep]
             self.steps.append(CSR.build(ids, src[keep], dst[keep], val))

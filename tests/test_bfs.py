@@ -8,16 +8,23 @@ from repro.graph.csr import CSR
 from repro.graph.property_graph import PropertyGraph
 
 
+def _adjacency(graph):
+    """``(src, dst)`` of ``graph``'s symmetric adjacency: every stored
+    edge in both directions."""
+    e = graph.edges.select("src", "dst").toPandas()
+    src, dst = e["src"].to_numpy(), e["dst"].to_numpy()
+    return np.concatenate((src, dst)), np.concatenate((dst, src))
+
+
 def _csr(graph):
     """The CSR of ``graph``'s symmetric adjacency."""
     ids = np.sort(graph.nodes.select("id").toPandas()["id"].to_numpy())
-    adj = graph.adjacency.select("src", "dst").toPandas()
-    return CSR.build(ids, adj["src"].to_numpy(), adj["dst"].to_numpy())
+    return CSR.build(ids, *_adjacency(graph))
 
 
 @pytest.fixture(scope="module")
 def path_csr(spark):
-    """A 6-node path 1-2-3-4-5-6 (undirected via adjacency), as a CSR."""
+    """A 6-node path 1-2-3-4-5-6 (undirected: edges read both ways), as a CSR."""
     nodes = pd.DataFrame({"id": [1, 2, 3, 4, 5, 6]})
     edges = pd.DataFrame({"src": [1, 2, 3, 4, 5], "dst": [2, 3, 4, 5, 6]})
     g = PropertyGraph.from_tables(spark, {"t": nodes}, {"e": edges})
@@ -130,8 +137,7 @@ def _reference_parents(adj_rows, root, max_depth):
 
 def test_bfs_parents_matches_reference(dblp):
     csr = _csr(dblp.graph)
-    adj = dblp.graph.adjacency.select("src", "dst").toPandas()
-    rows = list(zip(adj["src"].tolist(), adj["dst"].tolist()))
+    rows = list(zip(*(a.tolist() for a in _adjacency(dblp.graph))))
     roots = [int(x) for x in np.random.default_rng(3).choice(csr.ids, 8)]
     for r in roots:
         parent = bfs_parents(csr, csr.index(r), max_depth=3)

@@ -13,6 +13,15 @@ from repro.samplers import get_sampler
 from tests.conftest import TOY_A, TOY_B, TOY_R
 
 
+# b -r_inv-> a over a-nodes with x > 15 (node 2), f_P the step's edge
+# attribute w: the inverse rows (4,2) and (5,2) keep their edges' w.
+TOY_EDGE_INV = path_hypothesis(
+    "toy-edge-inv",
+    [Modifier("b"), Modifier("a", (Predicate("x", ">", 15, numeric=True),))],
+    ["r_inv"], AttrRef("edge", 0, "w"), Agg.AVG, Op.GT, 1.0,
+)
+
+
 class TestToyHandChecked:
     """Toy graph arithmetic (see tests/conftest.py for the data):
     a-nodes x = {10, 20}; 'on' b-nodes are 3 and 5; r-edge weights
@@ -28,6 +37,12 @@ class TestToyHandChecked:
         est = estimate(context(toy_graph, toy_hyps["edge"]))
         assert est.n_instances == 2
         assert est.value == pytest.approx(2.0)
+
+    def test_inverse_edge_keeps_the_edge_attribute(self, context, toy_graph):
+        # (4,2) w=2.5 and (5,2) w=3.5 -> avg 3.0.
+        est = estimate(context(toy_graph, TOY_EDGE_INV))
+        assert est.n_instances == 2
+        assert est.value == pytest.approx(3.0)
 
     def test_path_avg_simple_paths_only(self, context, toy_graph, toy_hyps):
         # b -r_inv-> a -r-> b with distinct endpoints:
@@ -106,6 +121,15 @@ class TestToyOracle:
             WHERE b.flag = 'on'
         """
         assert_equivalent(inst, sql, r=TOY_R, b=TOY_B)
+
+    def test_inverse_edge_instances(self, context, toy_graph):
+        inst = relevant_instances(context(toy_graph, TOY_EDGE_INV))
+        sql = """
+            SELECT e.dst AS n0, e.src AS n1, e.w AS f
+            FROM r e JOIN a ON a.id = e.src
+            WHERE a.x > 15
+        """
+        assert_equivalent(inst, sql, r=TOY_R, a=TOY_A)
 
     def test_path_instances(self, context, toy_graph, toy_hyps):
         inst = relevant_instances(context(toy_graph, toy_hyps["path"]))

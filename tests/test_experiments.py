@@ -110,12 +110,6 @@ class TestCellTime:
 
         from repro.core.framework import Experiment
 
-        monkeypatch.setattr(
-            experiments, "load_dataset",
-            lambda spark, name, sf=None: Dataset.build(
-                spark, "toy", {"a": TOY_A, "b": TOY_B}, {"r": TOY_R}
-            ),
-        )
         seeds = []
         real = Experiment.run_once
 
@@ -125,10 +119,11 @@ class TestCellTime:
             return replace(res, sample_seconds=float(seed), test_seconds=0.0)
 
         monkeypatch.setattr(Experiment, "run_once", run_once)
+        ds = Dataset.build(spark, "toy", {"a": TOY_A, "b": TOY_B}, {"r": TOY_R})
         grid = experiments.cells(
-            spark, "toy", [("node", 0.5, toy_hyps["node"])], ["SRW"],
-            runs=3, sf=1.0,
+            spark, ds, [("node", 0.5, toy_hyps["node"])], ["SRW"], runs=3
         )
+        ds.graph.unpersist()
         assert seeds == [3, 0, 1, 2]
         assert grid.loc[0, "Time"] == pytest.approx(1.0)
         assert grid.loc[0, "Runs"] == 3
@@ -158,14 +153,16 @@ class TestTable2:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(framework, "WalkContext", CountingContext)
-        df = experiments.table2(spark, sf=0.1, runs=1)
+        ds = experiments.load_dataset(spark, "DBLP", 0.1)
+        df = experiments.table2(spark, ds, runs=1)
+        ds.graph.unpersist()
         assert len(builds) == 3  # node, edge and path; PHASE and PHASE_opt share each
         assert list(df["Sampler"]) == ["PHASE", "PHASE_opt"]
         assert list(df.columns) == ["Sampler", "Node", "Edge", "Path", "Budget"]
 
 
 class TestTable3Claim:
-    def test_phase_opt_above_srw_nbrw_rns_on_dblp_paths(self, spark):
+    def test_phase_opt_above_srw_nbrw_rns_on_dblp_paths(self, spark, dblp):
         """Table 3's DBLP path row: PHASE_opt's pooled Wilson interval lies
         above SRW's, NBRW's and RNS's. DBLP-lite at the ``dblp`` fixture's
         sf = 0.2, B = 4%·|V|, 30 runs per hypothesis, seeds 0-29. Recorded:
@@ -174,9 +171,7 @@ class TestTable3Claim:
         prop = PROPORTIONS["DBLP", "path"]
         hyps = [("path", prop, h) for h in bank("DBLP")["path"]]
         samplers = ("PHASE_opt", "SRW", "NBRW", "RNS")
-        grid = experiments.cells(
-            spark, "DBLP", hyps, samplers, runs=30, sf=0.2
-        )
+        grid = experiments.cells(spark, dblp, hyps, samplers, runs=30)
         assert len(grid) == 3 * len(samplers) and set(grid["Budget"]) == {56}
         row = pivot_table3(grid).iloc[0]
         for s in samplers[1:]:

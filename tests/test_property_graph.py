@@ -32,22 +32,6 @@ class TestConstruction:
             PropertyGraph.from_tables(spark, {}, {})
 
 
-class TestAdjacency:
-    def test_doubles_edges(self, toy_graph):
-        assert toy_graph.adjacency.count() == 2 * toy_graph.edges.count()
-
-    def test_inverse_direction_and_type(self, toy_graph):
-        inv = toy_graph.adjacency.where(F.col("etype") == "r_inv")
-        pairs = {(r["src"], r["dst"]) for r in inv.collect()}
-        assert pairs == {(3, 1), (4, 1), (4, 2), (5, 2)}
-
-    def test_inverse_keeps_attrs(self, toy_graph):
-        row = toy_graph.adjacency.where(
-            (F.col("src") == 5) & (F.col("dst") == 2)
-        ).first()
-        assert float(row["attrs"]["w"]) == 3.5
-
-
 class TestDegrees:
     def test_values(self, toy_graph):
         # Total (in+out) degree: 1:2, 2:2, 3:1, 4:2, 5:1.

@@ -148,28 +148,35 @@ def test_vs_pinned_per_seed_dblp(dblp):
 
 
 @pytest.mark.parametrize("name", ["PHASE_opt", "SBS", "FFS"])
-def test_slot_draw_keeps_the_sample_distribution(dblp, monkeypatch, name):
+def test_slot_draw_keeps_the_sample_distribution(dblp, ml_edge_ctx, monkeypatch, name):
     # The samplers that cap their neighbor draw, run on seeds 0-299 with
     # CSR.unvisited and again with the full-slice reference it replaced,
-    # on DB-P1 at B = 10% of |V|, where hubs exceed DRAW * cap. Their V_S
-    # must agree in distribution on three statistics: the M_1 share of
-    # V_S, the relevant instances in S, and the mean degree. Welch's t per
-    # statistic; over five blocks of 200 seeds the largest |t| seen was
-    # 1.86, and the bound here is 4.
+    # at B = 10% of |V| on DB-P1, where hubs exceed DRAW * cap, and on
+    # ML-E1, where 22 of 300 nodes do. Their V_S must agree in
+    # distribution on four statistics per graph: the M_1 share of V_S,
+    # the relevant instances in S, the mean degree and the mean dense
+    # index. Slices run in ascending index, so a draw that favours some
+    # slot positions shifts the last one; PHASE_opt takes few drawn steps
+    # on DB-P1 (about 9 per sample), so its shift shows on ML-E1. Welch's
+    # t per statistic; over five blocks of 200 seeds the largest |t| seen
+    # was 2.02, and the bound here is 4.
     hyp = next(h for h in bank("DBLP")["path"] if h.name == "DB-P1")
-    ctx = WalkContext(dblp.graph, hyp)
-    budget = int(0.10 * ctx.csr.n)
+    ctxs = (WalkContext(dblp.graph, hyp), ml_edge_ctx)
 
     def statistics():
         rows = []
         for seed in range(300):
-            ids = get_sampler(name).sample(ctx, budget, seed=seed)
-            i = ctx.csr.index(ids)
-            rows.append([
-                np.mean(ctx.bits[i] & 1),
-                estimate(ctx, ids).n_instances,
-                ctx.csr.deg[i].mean(),
-            ])
+            row = []
+            for ctx in ctxs:
+                ids = get_sampler(name).sample(ctx, int(0.10 * ctx.csr.n), seed=seed)
+                i = ctx.csr.index(ids)
+                row += [
+                    np.mean(ctx.bits[i] & 1),
+                    estimate(ctx, ids).n_instances,
+                    ctx.csr.deg[i].mean(),
+                    i.mean(),
+                ]
+            rows.append(row)
         return np.array(rows)
 
     new = statistics()
@@ -254,10 +261,11 @@ class TestSamplerSpecific:
         # Snowball grows by adjacency: most sampled nodes must have a
         # sampled neighbor (allowing for reignition seeds).
         ids = set(sampler_runs["SBS"])
-        adj = ml_edge_ctx.graph.adjacency.select("src", "dst").collect()
+        edges = ml_edge_ctx.graph.edges.select("src", "dst").collect()
         nbrs = {}
-        for r in adj:
-            nbrs.setdefault(r["src"], set()).add(r["dst"])
+        for s, d in edges:
+            nbrs.setdefault(s, set()).add(d)
+            nbrs.setdefault(d, set()).add(s)
         connected = sum(1 for v in ids if nbrs.get(v, set()) & ids)
         assert connected >= 0.5 * len(ids)
 

@@ -75,6 +75,13 @@ class TestWalkContext:
     def test_csr_rowcount(self, toy_edge_ctx):
         assert len(toy_edge_ctx.csr.nbr) == 8  # both directions of 4 edges
 
+    def test_inverse_step_reads_the_mirrored_edges(self, toy_graph, toy_hyps):
+        # Step 0 of b -r_inv-> a -r-> b: every stored r edge, dst to src.
+        step = WalkContext(toy_graph, toy_hyps["path"]).steps[0]
+        row, nbr = step.gather(np.arange(step.n))
+        pairs = sorted(zip(step.ids[row].tolist(), step.ids[nbr].tolist()))
+        assert pairs == [(3, 1), (4, 1), (4, 2), (5, 2)]
+
 
 class TestAdvancementProbs:
     def test_always_mode(self, toy_edge_ctx):
