@@ -2,7 +2,10 @@
 
 Jobs are standalone entrypoints (``python jobs/table3_accuracy.py`` or
 ``spark-submit jobs/table3_accuracy.py``); the tests' ``spark``
-fixture and ``perfbench/run.py`` start their session here too.
+fixture and ``perfbench/run.py`` start their session here too, so all
+three launch the same driver JVM. PySpark passes every builder conf to
+``spark-submit`` as ``--conf``, so the driver heap and Java options set
+here apply when the first ``getOrCreate`` launches the JVM.
 Scale/repetition knobs come from env vars so EXPERIMENTS.md documents
 exactly one command per table.
 """
@@ -13,10 +16,27 @@ import os
 from pyspark.sql import SparkSession
 
 
+def _driver_mem() -> str:
+    """``SPARK_DRIVER_MEM`` if set, else half of ``MemTotal``, clamped to
+    2-8 GiB; 2g if ``/proc/meminfo`` cannot be read."""
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(ln.split()[1]) for ln in f if ln.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError):
+        return "2g"
+    return f"{min(8, max(2, kib // (1 << 21)))}g"
+
+
 def get_spark(app: str) -> SparkSession:
     s = (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
+        .config("spark.driver.memory", _driver_mem())
+        # A heap that runs out ends the JVM, and with it the job, instead
+        # of leaving Spark's scheduler to hang after an OutOfMemoryError.
+        .config("spark.driver.extraJavaOptions", "-XX:+ExitOnOutOfMemoryError")
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
         .config("spark.ui.showConsoleProgress", "false")

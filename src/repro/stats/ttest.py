@@ -3,8 +3,8 @@
 Used by the hypothesis-testing step of the framework (paper §3.1: "the
 acceptance or rejection result, p-value, and confidence interval are
 returned"). scipy is not a dependency, so the Student-t distribution is
-built here on the regularized incomplete beta function ``betainc_reg``
-(a continued fraction) and ``math.lgamma``.
+built here on the regularized incomplete beta function (a continued
+fraction, ``_betainc_cf``) and ``math.lgamma``.
 """
 from __future__ import annotations
 
@@ -78,23 +78,6 @@ def _betainc_cf(a: float, b: float, x: float) -> float:
         + b * math.log1p(-x)
     )
     return math.exp(ln_front) * _betacf(a, b, x) / a
-
-
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b), a, b > 0, x in [0, 1]
-    (Numerical Recipes ``betai``)."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"betainc_reg requires a, b > 0, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"betainc_reg requires 0 <= x <= 1, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    # Symmetry transform: use the continued fraction where it converges fast.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return _betainc_cf(a, b, x)
-    return 1.0 - _betainc_cf(b, a, 1.0 - x)
 
 
 def t_cdf(t: float, df: float) -> float:

@@ -1,10 +1,12 @@
-"""Shared fixtures: tiny datasets, a hand-checkable toy graph, and
-once-per-session sampler runs reused by many invariant tests."""
+"""Shared fixtures: the session's Spark, tiny datasets, a hand-checkable
+toy graph, and once-per-session sampler runs reused by many invariant
+tests."""
 from __future__ import annotations
 
 import pandas as pd
 import pytest
 
+from jobs.common import get_spark
 from repro.core.hypothesis import (
     Agg,
     AttrRef,
@@ -17,6 +19,29 @@ from repro.datasets import dblp_lite, movielens_lite, yelp_lite
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.walk_engine import WalkContext
 from repro.samplers import SAMPLERS, get_sampler
+
+
+# The session Spark's settings, for the terminal summary: pytest captures
+# what a fixture prints, so a line printed there reaches no passing run.
+_SESSION_LINE = []
+
+
+@pytest.fixture(scope="session")
+def spark():
+    """The jobs' own session, so the tests run the JVM the jobs run."""
+    s = get_spark("repro")
+    sc = s.sparkContext
+    _SESSION_LINE.append(
+        f"[conftest] spark.driver.memory={sc.getConf().get('spark.driver.memory')} "
+        f"master={sc.master} defaultParallelism={sc.defaultParallelism}"
+    )
+    yield s
+    s.stop()
+
+
+def pytest_terminal_summary(terminalreporter):
+    for line in _SESSION_LINE:
+        terminalreporter.write_line(line)
 
 
 # ---------------------------------------------------------------------
