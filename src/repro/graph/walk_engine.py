@@ -34,11 +34,15 @@ from repro.graph.property_graph import INV_SUFFIX, PropertyGraph
 
 _M = 1_000_000_007
 
-# Supersteps after which a walk returns what it has, short of the budget
-# if need be. Teleports keep a walk moving but not always onto new nodes:
-# at B = |V|/2 on DBLP- and Yelp-lite, MHRW, FrontierS and PHASE stop
-# here 4-43% short of B (ROADMAP item 2).
-MAX_SUPERSTEPS = 400
+# A walk returns what it has, short of the budget if need be, after
+# max(SUPERSTEP_FLOOR, CAP_ROUNDS * ceil(B / m)) supersteps. m walkers
+# need at least ceil(B / m) supersteps to sample B nodes, and the steps a
+# walk takes grow with that: PHASE took up to 10 times it on DBLP-lite at
+# sf = 10-50 (EXPERIMENTS.md, "Scale ladder"). Teleports keep a walk
+# moving but not always onto new nodes, so a walk can still stop at the
+# cap short of B (ROADMAP item 2).
+SUPERSTEP_FLOOR = 400
+CAP_ROUNDS = 16
 
 # Paper §4.1: m = 50 dependent walkers, L_w and transition weights
 # w_h = 10 for nodes that match, w_l = 0.1 for the rest, and PHASE_opt's
@@ -241,7 +245,7 @@ def run_walk(
     ctx: WalkContext, cfg: WalkConfig, budget: int, *, seed: int
 ) -> WalkResult:
     """Run the configured walk until min(``budget``, |V|) distinct nodes
-    are sampled (or ``MAX_SUPERSTEPS`` is hit)."""
+    are sampled, or until the superstep cap is hit."""
     rng = np.random.default_rng(seed)
     n = ctx.csr.n
     target = min(budget, n)
@@ -273,7 +277,8 @@ def run_walk(
     teleports = examined = 0
     step = 0
 
-    while np.count_nonzero(visited) < target and step < MAX_SUPERSTEPS:
+    cap = max(SUPERSTEP_FLOOR, CAP_ROUNDS * -(-target // m))
+    while np.count_nonzero(visited) < target and step < cap:
         step += 1
         adv = rng.random(m) < _advancement_probs(cfg, ctx, cur)
         if not adv.any():

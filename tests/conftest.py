@@ -33,7 +33,9 @@ def spark():
     sc = s.sparkContext
     _SESSION_LINE.append(
         f"[conftest] spark.driver.memory={sc.getConf().get('spark.driver.memory')} "
-        f"master={sc.master} defaultParallelism={sc.defaultParallelism}"
+        f"master={sc.master} defaultParallelism={sc.defaultParallelism} "
+        "spark.python.sql.dataFrameDebugging.enabled="
+        f"{s.conf.get('spark.python.sql.dataFrameDebugging.enabled')}"
     )
     yield s
     s.stop()

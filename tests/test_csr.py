@@ -18,6 +18,21 @@ def csr():
     return CSR.build(ids, np.concatenate([src, dst]), np.concatenate([dst, src]))
 
 
+def test_build_orders_rows_as_a_two_key_lexsort():
+    """Rows sort by (src, dst), and repeated pairs keep their input order,
+    values included: the permutation of ``np.lexsort((dst, src))``."""
+    rng = np.random.default_rng(3)
+    ids = 100 + 3 * np.arange(30)
+    src, dst = rng.choice(ids, 2000), rng.choice(ids, 2000)  # ~2 rows per pair
+    val = np.arange(2000)
+    g = CSR.build(ids, src, dst, val)
+    s, d = np.searchsorted(ids, src), np.searchsorted(ids, dst)
+    order = np.lexsort((d, s))
+    assert (g.nbr == d[order]).all()
+    assert (g.val == val[order]).all()
+    assert (g.indptr == np.concatenate(([0], np.cumsum(np.bincount(s, minlength=30))))).all()
+
+
 def _visited(csr, seed):
     return np.random.default_rng(seed).random(csr.n) < 0.4
 

@@ -9,6 +9,8 @@ import pathlib
 import sys
 
 import pytest
+from pyspark.errors import utils as pyspark_errors
+from pyspark.sql import functions as F
 
 from jobs import common
 
@@ -98,3 +100,20 @@ def test_session_jvm_runs_the_launch_rule(spark):
     assert 0.9 * heap <= jvm.java.lang.Runtime.getRuntime().maxMemory() <= heap
     args = jvm.java.lang.management.ManagementFactory.getRuntimeMXBean().getInputArguments()
     assert "-XX:+ExitOnOutOfMemoryError" in list(args)
+
+
+def test_session_runs_without_dataframe_debugging(spark, monkeypatch):
+    """The launch rule turns off PySpark's per-call DataFrame debugging, so
+    a DataFrame chain captures no Python call site. PySpark caches the
+    setting for the process at its first wrapped call; clearing the cache
+    makes this chain read it from the session."""
+    assert spark.conf.get("spark.python.sql.dataFrameDebugging.enabled") == "false"
+    captured = []
+    capture = pyspark_errors._capture_call_site
+    monkeypatch.setattr(pyspark_errors, "_enable_debugging_cache", None)
+    monkeypatch.setattr(
+        pyspark_errors, "_capture_call_site", lambda depth: captured.append(depth) or capture(depth)
+    )
+    rows = spark.range(5).select((F.col("id") % 3).alias("x")).orderBy("x").collect()
+    assert [r.x for r in rows] == [0, 0, 1, 1, 2]
+    assert captured == []

@@ -216,7 +216,7 @@ def isolated_ctx(spark):
 
 # Seed 4 starts one of SRW's two walkers on node 7. A uniform walk reaches
 # an isolated node only from a start or a teleport there, and it teleports
-# only from a dead end, so on other seeds SRW runs to MAX_SUPERSTEPS
+# only from a dead end, so on other seeds SRW runs to the superstep cap
 # and returns the 6 path nodes.
 ISOLATED_SEED = 4
 

@@ -16,10 +16,13 @@ from repro.core.hypothesis import (
 )
 from repro.core.phase import PHASE, PHASE_OPT
 from repro.datasets.bank import bank
-from repro.graph.csr import DRAW
+from repro.graph.csr import CSR, DRAW
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.walk_engine import (
+    CAP_ROUNDS,
+    M,
     N,
+    SUPERSTEP_FLOOR,
     W_H,
     W_L,
     WalkConfig,
@@ -173,6 +176,37 @@ class TestRunWalk:
     def test_bad_transition_mode(self, ml_edge_ctx):
         with pytest.raises(ValueError, match="unknown weights"):
             run_walk(ml_edge_ctx, WalkConfig(weights="bogus"), 10, seed=1)
+
+
+def _driver_ctx(n, src, dst):
+    """A context without Spark: the CSR over ids 0..n-1 and no modifier."""
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    csr = CSR.build(np.arange(n), np.concatenate([src, dst]), np.concatenate([dst, src]))
+    return SimpleNamespace(csr=csr, bits=np.zeros(n, dtype=np.int64))
+
+
+class TestSuperstepCap:
+    """A walk stops at max(SUPERSTEP_FLOOR, CAP_ROUNDS * ceil(B / m))
+    supersteps, m the walkers it runs (50 here)."""
+
+    def test_walk_that_needs_more_than_the_floor_reaches_b(self):
+        # No edges: every walker teleports to a uniform node each
+        # superstep, so covering all n nodes is coupon collecting, about
+        # (n / m) * (ln n + 0.58) = 910 supersteps here; the floor alone
+        # would stop the walk near 4,900 nodes.
+        n = 5000
+        res = run_walk(_driver_ctx(n, [], []), WalkConfig(), n, seed=0)
+        assert SUPERSTEP_FLOOR < res.supersteps < CAP_ROUNDS * n // M
+        assert len(res.node_ids) == n
+
+    def test_walk_that_cannot_reach_b_stops_at_the_cap(self):
+        # A perfect matching: a walker never dead-ends, so it never
+        # teleports off its first edge, and V_S stays at 2m nodes.
+        n = 5000
+        ctx = _driver_ctx(n, np.arange(0, n, 2), np.arange(1, n, 2))
+        res = run_walk(ctx, WalkConfig(), n, seed=0)
+        assert res.supersteps == CAP_ROUNDS * n // M
+        assert len(res.node_ids) == 2 * M
 
 
 # Star: centre 0 (type c) joined to A leaves with flag on, then B leaves
