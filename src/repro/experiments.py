@@ -18,6 +18,7 @@ skips it with a logged line.
 """
 from __future__ import annotations
 
+import statistics
 from typing import Iterable
 
 import pandas as pd
@@ -68,7 +69,8 @@ def table1(spark: SparkSession, *, sf: float = 1.0) -> pd.DataFrame:
 # ---------------------------------------------------------------------
 COLUMNS = [
     "Dataset", "Type", "Proportion", "Budget", "Hypothesis", "Sampler",
-    "Accuracy", "Lo", "Hi", "Matches", "Runs", "Time",
+    "Accuracy", "Lo", "Hi", "Matches", "Undecided", "Wrong", "Runs",
+    "Instances", "Time",
 ]
 
 
@@ -84,8 +86,11 @@ def cells(
     loads and unpersists: ``runs`` runs at budget ``max(20,
     proportion·|V|)``, their accuracy with its Wilson 95% interval (``Lo``,
     ``Hi``) and average total time over those runs, after one untimed
-    warm-up run. ``hyps`` yields ``(label, proportion, hypothesis)``; the
-    label fills ``Type``."""
+    warm-up run. A run that misses H(G) counts in ``Undecided`` (H(S)
+    undecided; S holds no relevant instance) or ``Wrong`` (decided against
+    H(G)); ``Instances`` is the runs' median count of relevant instances
+    in S. ``hyps`` yields ``(label, proportion, hypothesis)``; the label
+    fills ``Type``."""
     n_nodes = ds.graph.num_nodes()
     rows = []
     for label, prop, hyp in hyps:
@@ -110,13 +115,18 @@ def cells(
             res = exp.accuracy(sname, budget, runs=runs)
             acc, k, t = res["accuracy"], res["matches"], res["avg_total_seconds"]
             lo, hi = res["accuracy_ci"]
+            outcomes = [r.outcome for r in res["results"]]
+            undecided = sum(o.decision is None for o in outcomes)
+            found = statistics.median(o.estimate.n_instances for o in outcomes)
             print(
-                f"{tag}   {sname:14s} acc={acc:.2f} [{lo:.2f}, {hi:.2f}] t={t:.4f}s",
+                f"{tag}   {sname:14s} acc={acc:.2f} [{lo:.2f}, {hi:.2f}] "
+                f"undecided={undecided} instances={found} t={t:.4f}s",
                 flush=True,
             )
-            rows.append(
-                [ds.name, label, prop, budget, hyp.name, sname, acc, lo, hi, k, runs, t]
-            )
+            rows.append([
+                ds.name, label, prop, budget, hyp.name, sname, acc, lo, hi, k,
+                undecided, runs - k - undecided, runs, found, t,
+            ])
     return pd.DataFrame(rows, columns=COLUMNS)
 
 

@@ -50,6 +50,16 @@ class CSR:
         return cls(ids, indptr, d[order], deg,
                    None if val is None else np.asarray(val)[order])
 
+    def select(self, keep: np.ndarray, val: Optional[np.ndarray] = None) -> "CSR":
+        """The CSR of the slots where ``keep`` holds, each row's slots in
+        their order here; ``val`` gives one value per slot here into
+        :attr:`val`. Over :meth:`build`'s output this is what ``build``
+        gives on the kept rows alone, with no sort."""
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        indptr = kept[self.indptr]
+        return CSR(self.ids, indptr, self.nbr[keep], np.diff(indptr),
+                   None if val is None else np.asarray(val)[keep])
+
     @property
     def n(self) -> int:
         return len(self.ids)

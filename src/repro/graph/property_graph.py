@@ -9,20 +9,44 @@ Attribute values are stored as strings and cast at use sites (the
 hypothesis layer knows which attributes are numeric). Edges are directed
 and held once; per Def. 1 every relation ``r`` implies its inverse
 ``r^-1``, named ``r`` suffixed with ``INV_SUFFIX``. Spark never
-materializes the inverse: :class:`~repro.graph.walk_engine.WalkContext`
-mirrors the collected edges on the driver, the inverse keeping the
-edge's attributes.
+materializes the inverse. :attr:`PropertyGraph.csr`, built on the driver
+once per graph from two Spark jobs, holds every stored edge and then its
+inverse, and records per slot its relation and its stored edge, whose
+attributes the inverse keeps (:meth:`PropertyGraph.edge_values`). This
+module is the only one that forms an inverse.
 """
 from __future__ import annotations
 
+import hashlib
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.graph.csr import CSR
+
 INV_SUFFIX = "_inv"
+
+
+@dataclass(frozen=True)
+class _Adjacency:
+    """The symmetric CSR and, per slot, its relation and stored edge."""
+
+    csr: CSR
+    relations: tuple[str, ...]  # code -> name: the stored types, then their inverses
+    relation: np.ndarray  # per slot: its relation code
+    edge: np.ndarray  # per slot: its stored edge's row in ``edges``
+    digest: str  # fingerprint of the stored edges' (src, dst), in row order
+
+
+def _digest(src: np.ndarray, dst: np.ndarray) -> str:
+    h = hashlib.blake2b(np.ascontiguousarray(src, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(dst, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 class PropertyGraph:
@@ -81,6 +105,65 @@ class PropertyGraph:
             .cache()
         )
 
+    @cached_property
+    def _adjacency(self) -> _Adjacency:
+        # Two Spark jobs: the node ids, and every stored edge's endpoints
+        # and type. Adjacency row k < m is stored edge k, row m + k its
+        # inverse; the CSR's slot order carries each row's index along.
+        ids = np.sort(self.nodes.select("id").toPandas()["id"].to_numpy())
+        e = self.edges.select("src", "dst", "etype").toPandas()
+        src, dst = e["src"].to_numpy(), e["dst"].to_numpy()
+        m = len(e)
+        # np.unique's sorted codes, found by hashing, not sorting, m strings.
+        code, etypes = pd.factorize(e["etype"], sort=True)
+        relations = (*etypes, *(t + INV_SUFFIX for t in etypes))
+        code = code.astype(np.min_scalar_type(len(relations)))
+        rows = CSR.build(
+            ids, np.concatenate((src, dst)), np.concatenate((dst, src)), np.arange(2 * m)
+        )
+        return _Adjacency(
+            csr=CSR(rows.ids, rows.indptr, rows.nbr, rows.deg),
+            relations=tuple(str(r) for r in relations),
+            relation=np.concatenate((code, code + len(etypes)))[rows.val],
+            edge=rows.val % m,
+            digest=_digest(src, dst),
+        )
+
+    @property
+    def csr(self) -> CSR:
+        """The symmetric adjacency on the driver: every stored edge and
+        its inverse, one slot each. Built on first access with two Spark
+        jobs and shared by every hypothesis on this graph."""
+        return self._adjacency.csr
+
+    def relation_slots(self, relation: str) -> np.ndarray:
+        """Mask over :attr:`csr`'s slots: the slot's row has type
+        ``relation``, a stored edge type ``r`` or its inverse ``r_inv``."""
+        adj = self._adjacency
+        if relation not in adj.relations:
+            return np.zeros(len(adj.relation), dtype=bool)
+        return adj.relation == adj.relations.index(relation)
+
+    def edge_values(self, attr: str) -> np.ndarray:
+        """One value per slot of :attr:`csr`: its stored edge's ``attr``
+        cast to double, so an inverse keeps its edge's attributes; NaN
+        where null. One Spark job.
+
+        The order of a second collect is not assumed: the values map to
+        slots only once their ``(src, dst)`` rows match the stored order
+        the CSR was built from.
+        """
+        adj = self._adjacency
+        e = self.edges.select(
+            "src", "dst", F.col("attrs").getItem(attr).cast("double").alias("v")
+        ).toPandas()
+        if _digest(e["src"].to_numpy(), e["dst"].to_numpy()) != adj.digest:
+            raise RuntimeError(
+                "the edges collected in an order other than the one the CSR "
+                "was built from"
+            )
+        return e["v"].to_numpy(dtype=float)[adj.edge]
+
     # ------------------------------------------------------------------
     # Statistics (Table 1)
     # ------------------------------------------------------------------
@@ -121,11 +204,13 @@ class PropertyGraph:
         return PropertyGraph(nodes, edges, cache=False)
 
     def unpersist(self) -> None:
-        """Release cached DataFrames (graphs built per-test/per-run)."""
+        """Release cached DataFrames (graphs built per-test/per-run) and
+        the driver CSR; a later :attr:`csr` builds it again."""
         for df in (self.nodes, self.edges):
             df.unpersist()
         if "degrees" in self.__dict__:
             self.degrees.unpersist()
+        self.__dict__.pop("_adjacency", None)
 
 
 def _union_typed(

@@ -1,15 +1,15 @@
 """Batched multi-walker random-walk engine over the driver-side CSR.
 
 The substrate every random-walk sampler (SRW, NBRW, RWR, MHRW, FrontierS,
-PHASE, PHASE_opt) is configured from. :class:`WalkContext` collects the
-stored edges and the modifier flags to the driver once per (graph,
-hypothesis) pair and mirrors each edge into its inverse there (Def. 1),
-giving the symmetric adjacency as a :class:`~repro.graph.csr.CSR` and one
-modifier bitmask per node. It builds from the same two collects the
-hypothesis projection the estimator (:mod:`repro.core.estimator`) expands
-instances over; the collected frames are dropped. A superstep is a few
-numpy operations over the advancing walkers' neighbor slices and launches
-no Spark job.
+PHASE, PHASE_opt) is configured from. The walks run on the graph's one
+symmetric adjacency, :attr:`PropertyGraph.csr
+<repro.graph.property_graph.PropertyGraph.csr>`. :class:`WalkContext`
+collects a hypothesis's modifier flags (and an edge f_P) to the driver
+once per (graph, hypothesis) pair, giving one modifier bitmask per node,
+and selects from the graph's CSR the hypothesis projection the estimator
+(:mod:`repro.core.estimator`) expands instances over. A superstep is a
+few numpy operations over the advancing walkers' neighbor slices and
+launches no Spark job.
 
 One superstep advances every gated walker at once; every walker chooses
 against V_S as it stood at the start of the superstep. The paper's
@@ -29,8 +29,8 @@ from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 from repro.core.hypothesis import Hypothesis
-from repro.graph.csr import CSR, argmin_in_group
-from repro.graph.property_graph import INV_SUFFIX, PropertyGraph
+from repro.graph.csr import argmin_in_group
+from repro.graph.property_graph import PropertyGraph
 
 _M = 1_000_000_007
 
@@ -81,10 +81,13 @@ class WalkConfig:
 
 class WalkContext:
     """Per-(graph, hypothesis) state shared by all samplers and the
-    estimator, collected to the driver with two Spark jobs.
+    estimator: the graph's CSR and, collected to the driver with one Spark
+    job (two when f_P is an edge attribute), what the hypothesis reads
+    of it.
 
-    - :attr:`csr`: the graph's symmetric adjacency, each stored edge
-      and its inverse;
+    - :attr:`csr`: the graph's symmetric adjacency,
+      :attr:`PropertyGraph.csr <repro.graph.property_graph.PropertyGraph.csr>`,
+      shared by every context on that graph;
     - :attr:`bits`: one integer per node (a dense index), whose bit j
       is set when the node satisfies modifier M_{j+1}, so that a walk
       reads a node's flag for any matched-prefix length k with one
@@ -92,10 +95,10 @@ class WalkContext:
     - :attr:`start`: the nodes that can open a relevant instance (they
       satisfy M_1 and, when f_P is that node's attribute, f_P is not
       null);
-    - :attr:`steps`: one CSR per path step i, holding the adjacency rows
-      of type r_i whose ``dst`` can take position i + 1 (it satisfies
-      M_{i+2}; a null f_P there drops the row). When f_P is that step's
-      edge attribute, the CSR's ``val`` holds it;
+    - :attr:`steps`: one CSR per path step i, the slots of :attr:`csr`
+      of relation r_i whose neighbor can take position i + 1 (it
+      satisfies M_{i+2}; a null f_P there drops the slot). When f_P is
+      that step's edge attribute, the CSR's ``val`` holds it;
     - :attr:`f`: f_P per node when it is a node attribute, else None.
 
     f_P is ``attrs[attr].cast("double")``; a null becomes NaN.
@@ -108,32 +111,14 @@ class WalkContext:
         f = hyp.f if hyp.f.attr is not None else None
         node_f = f is not None and f.kind == "node"
         edge_f = f is not None and f.kind == "edge"
-        f_col = [F.col("attrs").getItem(f.attr).cast("double").alias("f")] if f else []
         sat_names = [f"sat{i}" for i in range(len(mods))]
         sat_cols = [
             m.to_column(F.col("ntype"), F.col("attrs")).alias(name)
             for m, name in zip(mods, sat_names)
         ]
-        # Per step i: has the stored edge (r{i}) or its inverse (r{i}_inv) type r_i?
-        inv = F.concat(F.col("etype"), F.lit(INV_SUFFIX))
-        step_cols = [
-            (etype == F.lit(s.etype)).alias(f"r{i}{sfx}")
-            for i, s in enumerate(hyp.steps)
-            for etype, sfx in ((F.col("etype"), ""), (inv, "_inv"))
-        ]
-        nodes = (
-            graph.nodes.select("id", *sat_cols, *(f_col if node_f else []))
-            .toPandas()
-            .sort_values("id")
-        )
-        edges = graph.edges.select(
-            "src", "dst", *step_cols, *(f_col if edge_f else [])
-        ).toPandas()
-        ids = nodes["id"].to_numpy()
-        # The adjacency rows: every stored edge, then every inverse.
-        src = np.concatenate((edges["src"], edges["dst"]))
-        dst = np.concatenate((edges["dst"], edges["src"]))
-        self.csr = CSR.build(ids, src, dst)
+        f_col = [F.col("attrs").getItem(f.attr).cast("double").alias("f")] if node_f else []
+        self.csr = csr = graph.csr
+        nodes = graph.nodes.select("id", *sat_cols, *f_col).toPandas().sort_values("id")
         # ok[i, j]: node i satisfies M_{j+1}; a null flag (e.g. a missing
         # attribute) does not.
         ok = nodes[sat_names].to_numpy(dtype=bool, na_value=False)
@@ -144,18 +129,14 @@ class WalkContext:
         if node_f:
             ok[:, f.position] &= ~np.isnan(self.f)
         self.start = ok[:, 0]
-        d = np.searchsorted(self.csr.ids, dst)
         self.steps = []
-        for i in range(hyp.length):
-            keep = np.concatenate((edges[f"r{i}"], edges[f"r{i}_inv"]))
-            keep &= ok[d, i + 1]
+        for i, step in enumerate(hyp.steps):
+            keep = graph.relation_slots(step.etype) & ok[csr.nbr, i + 1]
             val = None
             if edge_f and f.position == i:
-                # The inverse keeps the edge's attributes.
-                val = np.tile(edges["f"].to_numpy(dtype=float), 2)
+                val = graph.edge_values(f.attr)
                 keep &= ~np.isnan(val)
-                val = val[keep]
-            self.steps.append(CSR.build(ids, src[keep], dst[keep], val))
+            self.steps.append(csr.select(keep, val))
 
 
 def _advancement_probs(cfg: WalkConfig, ctx: WalkContext, cur: np.ndarray) -> np.ndarray:

@@ -132,6 +132,33 @@ class TestCellTime:
         assert grid.loc[0, "Runs"] == 3
 
 
+class TestCellCounts:
+    def test_a_cell_reports_its_undecided_runs(self, spark, dblp):
+        """DB-N3 (MSR authors, 3% of authors) at B = 20 on the ``dblp``
+        fixture: many SRW samples hold no MSR author, so H(S) is undecided.
+        The cell splits its misses into undecided and wrong runs and gives
+        the runs' median instance count."""
+        from repro.core.framework import Experiment
+
+        hyp = bank("DBLP")["node"][2]
+        grid = experiments.cells(spark, dblp, [("node", 0.0, hyp)], ["SRW"], runs=10)
+        row = grid.iloc[0]
+        exp = Experiment(spark, dblp.graph, hyp)
+        truth = exp.truth().decision
+        found = [exp.run_once("SRW", 20, seed=s).outcome for s in range(10)]
+        undecided = sum(o.decision is None for o in found)
+        assert row["Budget"] == 20 and undecided > 0
+        assert row["Undecided"] == undecided
+        assert row["Wrong"] == sum(o.decision not in (None, truth) for o in found)
+        assert row["Matches"] + row["Undecided"] + row["Wrong"] == row["Runs"]
+        assert row["Instances"] == np.median([o.estimate.n_instances for o in found])
+
+    def test_table3_leaves_the_counts_out(self):
+        grid = _fake_grid().assign(Undecided=0, Wrong=0, Instances=1.0)
+        t3 = pivot_table3(grid)
+        assert not {"Undecided", "Wrong", "Instances"} & set(t3.columns)
+
+
 class TestTable1:
     def test_shape_matches_paper(self, spark):
         df = table1(spark, sf=0.1)

@@ -1,9 +1,11 @@
 """Tests for the PropertyGraph substrate on the hand-checkable toy graph."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.graph.property_graph import PropertyGraph
+from tests.conftest import TOY_A, TOY_B, TOY_R
 
 
 class TestConstruction:
@@ -40,6 +42,53 @@ class TestDegrees:
 
     def test_every_node_present(self, toy_graph):
         assert toy_graph.degrees.count() == toy_graph.num_nodes()
+
+
+class TestCsr:
+    def test_every_stored_edge_and_its_inverse(self, toy_graph):
+        csr = toy_graph.csr
+        row, nbr = csr.gather(np.arange(csr.n))
+        pairs = sorted(zip(csr.ids[row].tolist(), csr.ids[nbr].tolist()))
+        stored = sorted(zip(TOY_R["src"].tolist(), TOY_R["dst"].tolist()))
+        assert pairs == sorted(stored + [(d, s) for s, d in stored])
+
+    def test_relation_slots_and_edge_values(self, toy_graph):
+        csr = toy_graph.csr
+        row, nbr = csr.gather(np.arange(csr.n))
+        w = toy_graph.edge_values("w")
+        weight = dict(zip(zip(TOY_R["src"], TOY_R["dst"]), TOY_R["w"]))
+        for rel, forward in (("r", True), ("r_inv", False)):
+            slots = np.flatnonzero(toy_graph.relation_slots(rel))
+            assert len(slots) == len(TOY_R)
+            for j in slots:
+                s, d = csr.ids[row[j]], csr.ids[nbr[j]]
+                # The inverse keeps its edge's attributes.
+                assert w[j] == weight[(s, d) if forward else (d, s)]
+        assert not toy_graph.relation_slots("nope").any()
+        assert np.isnan(toy_graph.edge_values("nope")).all()
+
+    def test_unpersist_drops_the_csr(self, spark):
+        g = PropertyGraph.from_tables(
+            spark, {"a": TOY_A, "b": TOY_B}, {"r": TOY_R}
+        )
+        first = g.csr
+        g.unpersist()
+        again = g.csr
+        assert again is not first
+        for attr in ("ids", "indptr", "nbr", "deg"):
+            assert np.array_equal(getattr(again, attr), getattr(first, attr))
+        g.unpersist()
+
+    def test_edge_values_refuse_rows_in_another_order(self, spark):
+        g = PropertyGraph.from_tables(
+            spark, {"a": TOY_A, "b": TOY_B}, {"r": TOY_R}
+        )
+        g.csr
+        stored, g.edges = g.edges, g.edges.orderBy(F.desc("src"), F.desc("dst"))
+        with pytest.raises(RuntimeError, match="order"):
+            g.edge_values("w")
+        g.edges = stored
+        g.unpersist()
 
 
 class TestStats:

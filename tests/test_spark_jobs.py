@@ -1,12 +1,13 @@
-"""The Spark-job contract of README § "Spark target": a WalkContext build
-launches two Spark jobs, and the test step and the walk and BFS samplers
-launch none."""
+"""The Spark-job contract of README § "Spark target": a graph's CSR costs
+two Spark jobs once, a WalkContext one more (two for an edge f_P), and
+the test step and the walk and BFS samplers launch none."""
 import itertools
 
 import pytest
 
 from repro.core.framework import Experiment
 from repro.core.testing import run_test
+from repro.datasets import dblp_lite
 from repro.datasets.bank import bank
 from repro.graph.walk_engine import WalkContext
 
@@ -36,11 +37,36 @@ def experiment(spark, dblp):
     return exp
 
 
-@pytest.mark.parametrize("kind", ["node", "edge", "path"])
-def test_context_build_launches_two_jobs(spark, dblp, kind):
-    # DB-E1 reads an edge f_P, so the adjacency collect carries it.
-    jobs, _ = _jobs(spark, lambda: WalkContext(dblp.graph, bank("DBLP")[kind][0]))
+@pytest.fixture(scope="module")
+def fresh(spark):
+    """A graph generated for this module; no session fixture shares it."""
+    ds = dblp_lite(spark, sf=0.05, seed=3)
+    yield ds.graph
+    ds.graph.unpersist()
+
+
+def test_graph_csr_launches_two_jobs_once(spark):
+    ds = dblp_lite(spark, sf=0.05, seed=4)
+    jobs, csr = _jobs(spark, lambda: ds.graph.csr)
     assert jobs == 2
+    again, same = _jobs(spark, lambda: ds.graph.csr)
+    assert again == 0 and same is csr
+    ds.graph.unpersist()
+
+
+@pytest.mark.parametrize(
+    "kind,expected", [("node", 1), ("edge", 2), ("path", 1)], ids=["node", "edge", "path"]
+)
+def test_context_build_jobs(spark, fresh, kind, expected):
+    # DB-E1 reads an edge f_P, which takes a second collect of the edges.
+    fresh.csr
+    jobs, _ = _jobs(spark, lambda: WalkContext(fresh, bank("DBLP")[kind][0]))
+    assert jobs == expected
+
+
+def test_contexts_share_one_csr(fresh):
+    node, path = (WalkContext(fresh, bank("DBLP")[k][0]) for k in ("node", "path"))
+    assert node.csr is path.csr is fresh.csr
 
 
 def test_run_test_launches_no_job(spark, experiment):

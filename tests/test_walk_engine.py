@@ -15,7 +15,7 @@ from repro.core.hypothesis import (
     path_hypothesis,
 )
 from repro.core.phase import PHASE, PHASE_OPT
-from repro.datasets.bank import bank
+from repro.datasets.bank import bank, dblp_long_paths
 from repro.graph.csr import CSR, DRAW
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.walk_engine import (
@@ -33,6 +33,7 @@ from repro.graph.walk_engine import (
     run_walk,
     urand,
 )
+from tests.reference_projection import reference_steps
 
 
 class TestUrand:
@@ -84,6 +85,41 @@ class TestWalkContext:
         row, nbr = step.gather(np.arange(step.n))
         pairs = sorted(zip(step.ids[row].tolist(), step.ids[nbr].tolist()))
         assert pairs == [(3, 1), (4, 1), (4, 2), (5, 2)]
+
+
+BANK_FIXTURES = {"ml": "MovieLens", "dblp": "DBLP", "yelp": "Yelp"}
+BANK_HYPS = {
+    fixture: {
+        h.name: h
+        for h in [*(h for hs in bank(name).values() for h in hs),
+                  *(dblp_long_paths().values() if name == "DBLP" else ())]
+    }
+    for fixture, name in BANK_FIXTURES.items()
+}
+
+
+@pytest.mark.parametrize(
+    "fixture,name",
+    [(fx, name) for fx, hyps in BANK_HYPS.items() for name in hyps]
+    + [("toy_graph", kind) for kind in ("node", "edge", "path")],
+)
+def test_step_csrs_match_the_reference_projection(request, toy_hyps, fixture, name):
+    """Every step CSR, ``val`` included, equals the one built by mirroring
+    the collected edges and running ``CSR.build`` per step, array for
+    array and dtype for dtype (``tests/reference_projection.py``)."""
+    if fixture == "toy_graph":
+        graph, hyp = request.getfixturevalue(fixture), toy_hyps[name]
+    else:
+        graph, hyp = request.getfixturevalue(fixture).graph, BANK_HYPS[fixture][name]
+    got = WalkContext(graph, hyp).steps
+    want = reference_steps(graph, hyp)
+    assert len(got) == len(want) == hyp.length
+    for g, w in zip(got, want):
+        for attr in ("ids", "indptr", "nbr", "deg", "val"):
+            a, b = getattr(g, attr), getattr(w, attr)
+            assert (a is None) == (b is None), attr
+            if a is not None:
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, attr)
 
 
 class TestAdvancementProbs:
