@@ -12,8 +12,8 @@ across repeated runs — compute the paper's evaluation measures:
 - total execution time = sampling time + relevant-info extraction time
   (§4.2 "Time").
 
-Spark's part in a run is the sampler's job for RNS, DBS and RES; walk and
-BFS samplers and the test launch none.
+Spark's part in a run is RES's sample job; every other sampler and the
+test launch none.
 """
 from __future__ import annotations
 

@@ -91,21 +91,6 @@ class PropertyGraph:
     # Views
     # ------------------------------------------------------------------
     @cached_property
-    def degrees(self) -> DataFrame:
-        """Total (in+out) degree per node: ``id, degree``, both endpoints
-        of every edge counted (a self-loop twice). Every node has
-        degree >= 1 by the paper's connectedness assumption; nodes absent
-        from the edge list get degree 0 here (generators avoid them)."""
-        ends = self.edges.select(F.explode(F.array("src", "dst")).alias("id"))
-        deg = ends.groupBy("id").agg(F.count(F.lit(1)).alias("degree"))
-        return (
-            self.nodes.select("id")
-            .join(deg, "id", "left")
-            .select("id", F.coalesce("degree", F.lit(0)).alias("degree"))
-            .cache()
-        )
-
-    @cached_property
     def _adjacency(self) -> _Adjacency:
         # Two Spark jobs: the node ids, and every stored edge's endpoints
         # and type. Adjacency row k < m is stored edge k, row m + k its
@@ -132,8 +117,10 @@ class PropertyGraph:
     @property
     def csr(self) -> CSR:
         """The symmetric adjacency on the driver: every stored edge and
-        its inverse, one slot each. Built on first access with two Spark
-        jobs and shared by every hypothesis on this graph."""
+        its inverse, one slot each, so ``csr.deg`` is the total (in+out)
+        degree, a self-loop counted twice and a node with no edge at 0.
+        Built on first access with two Spark jobs and shared by every
+        hypothesis on this graph."""
         return self._adjacency.csr
 
     def relation_slots(self, relation: str) -> np.ndarray:
@@ -208,8 +195,6 @@ class PropertyGraph:
         the driver CSR; a later :attr:`csr` builds it again."""
         for df in (self.nodes, self.edges):
             df.unpersist()
-        if "degrees" in self.__dict__:
-            self.degrees.unpersist()
         self.__dict__.pop("_adjacency", None)
 
 

@@ -16,8 +16,8 @@ against V_S as it stood at the start of the superstep. The paper's
 sequential walker-selection weights (degree for FrontierS, L_w for
 PHASE) become per-superstep advancement probabilities with the same
 expected advancement rates (DESIGN.md §3). All walk randomness comes
-from one numpy Generator seeded with ``seed``; :func:`urand` is the
-Spark-side uniform of the one-job node and edge samplers.
+from one numpy Generator seeded with ``seed``, as does every sampler's
+but RES's.
 """
 from __future__ import annotations
 
@@ -25,14 +25,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 from repro.core.hypothesis import Hypothesis
 from repro.graph.csr import argmin_in_group
 from repro.graph.property_graph import PropertyGraph
-
-_M = 1_000_000_007
 
 # A walk returns what it has, short of the budget if need be, after
 # max(SUPERSTEP_FLOOR, CAP_ROUNDS * ceil(B / m)) supersteps. m walkers
@@ -56,12 +53,6 @@ RESTART = 0.15
 # (FrontierS: walker selection by degree, uniform neighbor) or phase
 # (PHASE: L_w walker selection and the Fig. 3 transitions).
 WEIGHTS = ("uniform", "degree", "phase")
-
-
-def urand(*cols: Column, seed: int, tag: str) -> Column:
-    """Deterministic uniform in (0, 1) from hashed columns + seed + tag."""
-    h = F.xxhash64(*cols, F.lit(int(seed)), F.lit(tag))
-    return (F.pmod(h, F.lit(_M)).cast("double") + 0.5) / float(_M)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ a budget and a seed, and returns V_S, a list of at most ``budget``
 distinct node ids (RES counts its budget in edges, per §2.3). Each
 sampler is a setting of one kernel: a walk configuration
 (``run_walk``), a BFS expansion with a cap rule (``expand_frontier``),
-shortest paths (``bfs_parents``) or a one-job Spark draw.
+shortest paths (``bfs_parents``), a seeded numpy draw over the CSR
+(RNS, DBS) or, for RES alone, a one-job Spark draw.
 """
 from __future__ import annotations
 

@@ -3,7 +3,6 @@ determinism, and the attribute distributions the hypothesis bank relies
 on."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
 from repro.datasets import dblp_lite, movielens_lite, yelp_lite
 
@@ -35,7 +34,7 @@ class TestShape:
     def test_no_isolated_nodes(self, any_ds):
         # Paper Def. 1 assumes every node has at least one edge.
         _, ds = any_ds
-        assert ds.graph.degrees.where(F.col("degree") == 0).count() == 0
+        assert (ds.graph.csr.deg > 0).all()
 
     def test_unique_node_ids(self, any_ds):
         _, ds = any_ds

@@ -19,13 +19,15 @@ from repro.samplers import get_sampler
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-# Sampler -> the kernel span its sample must open (None: a Spark job).
+# Sampler -> the kernel span its sample must open (None: no kernel span;
+# RNS is one numpy draw, RES one Spark job).
 KERNELS = {
     "PHASE_opt": "walk_engine.run_walk",
     "SRW": "walk_engine.run_walk",
     "SBS": "bfs.expand_frontier",
     "ShortestPathS": "bfs.bfs_parents",
     "RNS": None,
+    "RES": None,
 }
 BUDGET, SEED = 3, 1
 

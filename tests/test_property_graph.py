@@ -37,11 +37,23 @@ class TestConstruction:
 class TestDegrees:
     def test_values(self, toy_graph):
         # Total (in+out) degree: 1:2, 2:2, 3:1, 4:2, 5:1.
-        deg = {r["id"]: r["degree"] for r in toy_graph.degrees.collect()}
-        assert deg == {1: 2, 2: 2, 3: 1, 4: 2, 5: 1}
+        csr = toy_graph.csr
+        assert dict(zip(csr.ids.tolist(), csr.deg.tolist())) == {
+            1: 2, 2: 2, 3: 1, 4: 2, 5: 1
+        }
 
     def test_every_node_present(self, toy_graph):
-        assert toy_graph.degrees.count() == toy_graph.num_nodes()
+        assert toy_graph.csr.n == toy_graph.num_nodes()
+
+    def test_self_loop_counts_twice(self, spark):
+        # A stored self-loop and its inverse are two slots of one row.
+        g = PropertyGraph.from_tables(
+            spark,
+            {"t": pd.DataFrame({"id": [1, 2, 3]})},
+            {"e": pd.DataFrame({"src": [1, 1], "dst": [1, 2]})},
+        )
+        assert g.csr.deg.tolist() == [3, 1, 0]
+        g.unpersist()
 
 
 class TestCsr:

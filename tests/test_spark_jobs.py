@@ -1,6 +1,7 @@
 """The Spark-job contract of README § "Spark target": a graph's CSR costs
-two Spark jobs once, a WalkContext one more (two for an edge f_P), and
-the test step and the walk and BFS samplers launch none."""
+two Spark jobs once, a WalkContext one more (two for an edge f_P), the
+test step and every sampler but RES launch none, and an RES query
+launches its one sample job."""
 import itertools
 
 import pytest
@@ -76,8 +77,17 @@ def test_run_test_launches_no_job(spark, experiment):
     assert _jobs(spark, lambda: run_test(ctx, vs))[0] == 0
 
 
-@pytest.mark.parametrize("sampler", ["PHASE_opt", "SRW", "SBS", "FFS", "ShortestPathS"])
+@pytest.mark.parametrize(
+    "sampler", ["PHASE_opt", "SRW", "SBS", "FFS", "ShortestPathS", "RNS", "DBS"]
+)
 def test_run_once_launches_no_job(spark, experiment, sampler):
     jobs, res = _jobs(spark, lambda: experiment.run_once(sampler, 60, seed=3))
     assert jobs == 0
     assert res.n_sampled == 60
+
+
+def test_res_run_once_launches_its_sample_job(spark, experiment):
+    # RES is the one query that still draws through Spark.
+    jobs, res = _jobs(spark, lambda: experiment.run_once("RES", 60, seed=3))
+    assert jobs == 1
+    assert 0 < res.n_sampled <= 120

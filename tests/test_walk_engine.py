@@ -31,8 +31,8 @@ from repro.graph.walk_engine import (
     _candidates,
     _choose,
     run_walk,
-    urand,
 )
+from repro.samplers.edge_samplers import urand
 from tests.reference_projection import reference_steps
 
 
